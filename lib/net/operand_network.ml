@@ -15,7 +15,7 @@ type message = {
   mutable msg_payload : payload;  (** mutable only for the tamper backdoor *)
   msg_sent : int;  (** enqueue cycle — the tail of a send→recv blame edge *)
   mutable ready_time : int;  (** cycle at which the receive queue can deliver *)
-  seq : int;  (** global enqueue order: FIFO per (src, dst) pair *)
+  seq : int;  (** global enqueue order *)
   mutable condition : condition;
   mutable attempt : int;  (** 1-based transmission count *)
   mutable retry_at : int;  (** next retransmission cycle when not [Clean] *)
@@ -50,13 +50,24 @@ type event =
 
 type t = {
   net_mesh : Mesh.t;
+  n : int;  (** cores *)
   capacity : int;
-  hop_cost : int;  (** cycles per mesh hop (1 = the paper's network) *)
+  hop_lat : int array;  (** [src * n + dst]: [hops * hop_cost] cycles *)
   (* latches.(core).(dir_index): value arriving at [core] from direction. *)
   latches : latch array array;
   mutable broadcast : bcast_slot option;
   consumed_bcast : bool array;  (** per-core: has this core taken the current bcast *)
-  mutable in_flight : message list;  (** unsorted; small *)
+  (* One FIFO per (src, dst, class), indexed by [chan]: the undelivered
+     messages of that channel in seq order, so its head is the only one
+     that may deliver. *)
+  channels : message Queue.t array;
+  mutable count : int;  (** messages in flight *)
+  starts_to : int array;  (** per destination: [Start] messages in flight *)
+  (* The not-[Clean] messages, newest first. Only a fresh message (the
+     highest seq) or one already listed turns not-[Clean], so prepending
+     keeps the list in descending seq order. *)
+  mutable unclean : message list;
+  mutable resent : int;  (** in-flight messages transmitted more than once *)
   mutable next_seq : int;
   net_stats : stats;
   faults : Fault.t option;
@@ -102,14 +113,20 @@ let create ?faults ?(hop_cost = 1) net_mesh ~receive_capacity =
   let n = Mesh.n_cores net_mesh in
   {
     net_mesh;
+    n;
     capacity = receive_capacity;
-    hop_cost;
+    hop_lat =
+      Array.init (n * n) (fun i -> Mesh.hops net_mesh (i / n) (i mod n) * hop_cost);
     latches =
       Array.init n (fun _ ->
           Array.init 4 (fun _ -> { filled = false; value = 0; time = 0 }));
     broadcast = None;
     consumed_bcast = Array.make n true;
-    in_flight = [];
+    channels = Array.init (2 * n * n) (fun _ -> Queue.create ());
+    count = 0;
+    starts_to = Array.make n 0;
+    unclean = [];
+    resent = 0;
     next_seq = 0;
     net_stats =
       { msgs_sent = 0; total_latency = 0; max_occupancy = 0; retries = 0; nacks = 0 };
@@ -125,7 +142,9 @@ let set_monitor t f = t.monitor <- Some f
 
 let emit t ev = match t.monitor with None -> () | Some f -> f ev
 
-let in_flight_count t = List.length t.in_flight
+let in_flight_count t = t.count
+
+let latency t ~src ~dst = t.hop_lat.((src * t.n) + dst)
 
 (* --- Direct mode --------------------------------------------------------- *)
 
@@ -165,70 +184,64 @@ let bcast t ~now ~src_core value =
   Array.fill t.consumed_bcast 0 (Array.length t.consumed_bcast) false;
   t.consumed_bcast.(src_core) <- true
 
+(* Cycle at which the current broadcast becomes visible at [core]. *)
+let bcast_arrival t slot core = slot.b_time + latency t ~src:slot.b_src ~dst:core
+
 let getb t ~now ~core =
   match t.broadcast with
   | None -> None
   | Some slot ->
-    if t.consumed_bcast.(core) then None
+    if t.consumed_bcast.(core) || now < bcast_arrival t slot core then None
     else begin
-      let arrival =
-        slot.b_time + (Mesh.hops t.net_mesh slot.b_src core * t.hop_cost)
-      in
-      if now < arrival then None
-      else begin
-        t.consumed_bcast.(core) <- true;
-        Some slot.b_value
-      end
+      t.consumed_bcast.(core) <- true;
+      Some slot.b_value
     end
 
+let getb_ready t ~now ~core =
+  match t.broadcast with
+  | None -> false
+  | Some slot ->
+    (not t.consumed_bcast.(core)) && now >= bcast_arrival t slot core
+
+let getb_wake t ~core =
+  match t.broadcast with
+  | None -> max_int
+  | Some slot ->
+    if t.consumed_bcast.(core) then max_int else bcast_arrival t slot core
+
 (* --- Queue mode ---------------------------------------------------------- *)
-
-(* The queue scans below are toplevel recursions threading their context
-   as arguments, not List combinators over closures: several run every
-   cycle for every blocked or sleeping core (the machine's blocker and
-   wake probes), and a capturing closure per call would put the network
-   back on the simulator's per-cycle allocation path. *)
-
-let rec count_channel src dst n = function
-  | [] -> n
-  | m :: rest ->
-    count_channel src dst
-      (if m.msg_dst = dst && m.msg_src = src then n + 1 else n)
-      rest
-
-let pending t ~src ~dst = count_channel src dst 0 t.in_flight
 
 (* Retransmission must not reorder a (src, dst) channel: RECV consumes by
    sender id only, so FIFO within a channel is program semantics, not just
    timing. Two payload classes share a channel without ordering constraints
    (a Start is consumed only by a sleeping core), so the unit of ordering is
-   (src, dst, class). *)
-let same_channel a b =
-  a.msg_src = b.msg_src && a.msg_dst = b.msg_dst
+   (src, dst, class), and each such channel is its own FIFO. Channels into
+   one destination are adjacent, so a Start scan walks a contiguous run. *)
+let chan t ~src ~dst ~start = (((dst * t.n) + src) * 2) + Bool.to_int start
+
+let on_mesh t c = c >= 0 && c < t.n
+
+let is_start = function Start _ -> true | Value _ -> false
+
+(* Only a channel's head may deliver. In a fault-free run its ready order
+   is its seq order, so this never holds back a ready message. *)
+let head_ready q ~now =
+  (not (Queue.is_empty q))
   &&
-  match (a.msg_payload, b.msg_payload) with
-  | Value _, Value _ | Start _, Start _ -> true
-  | Value _, Start _ | Start _, Value _ -> false
+  let m = Queue.peek q in
+  m.condition = Clean && m.ready_time <= now
 
-let rec earlier_on_channel m = function
-  | [] -> false
-  | m' :: rest -> (same_channel m m' && m'.seq < m.seq) || earlier_on_channel m rest
-
-let head_of_channel t m = not (earlier_on_channel m t.in_flight)
-
-(* In a fault-free run every message is [Clean] and same-channel hop counts
-   are equal, so ready order equals seq order and the head-of-channel test
-   never blocks a ready message: delivery timing is bit-identical to a
-   network without the retry machinery. *)
-let deliverable t ~now m =
-  m.condition = Clean && m.ready_time <= now && head_of_channel t m
+let pending t ~src ~dst =
+  if on_mesh t src && on_mesh t dst then
+    let i = chan t ~src ~dst ~start:false in
+    Queue.length t.channels.(i) + Queue.length t.channels.(i + 1)
+  else 0
 
 (* (Re)launch [m] at [now], rolling fault injection on each transmission.
    After [max_retries] retransmissions the delivery is forced clean, so a
    message occupies its channel for a bounded time even at rate 1.0. *)
 let transmit t ~now m =
-  let hops = Mesh.hops t.net_mesh m.msg_src m.msg_dst in
-  m.ready_time <- now + 1 + (hops * t.hop_cost);
+  m.ready_time <- now + 1 + latency t ~src:m.msg_src ~dst:m.msg_dst;
   m.condition <- Clean;
   match t.faults with
   | None -> ()
@@ -247,14 +260,14 @@ let transmit t ~now m =
       end
 
 let enqueue t ~now ~src ~dst payload =
-  let hops = Mesh.hops t.net_mesh src dst in
+  let lat = latency t ~src ~dst in
   let msg =
     {
       msg_src = src;
       msg_dst = dst;
       msg_payload = payload;
       msg_sent = now;
-      ready_time = now + 1 + (hops * t.hop_cost);
+      ready_time = now + 1 + lat;
       seq = t.next_seq;
       condition = Clean;
       attempt = 1;
@@ -262,26 +275,29 @@ let enqueue t ~now ~src ~dst payload =
     }
   in
   t.next_seq <- t.next_seq + 1;
-  t.in_flight <- msg :: t.in_flight;
+  Queue.add msg t.channels.(chan t ~src ~dst ~start:(is_start payload));
+  t.count <- t.count + 1;
+  if is_start payload then t.starts_to.(dst) <- t.starts_to.(dst) + 1;
   let s = t.net_stats in
   s.msgs_sent <- s.msgs_sent + 1;
-  s.total_latency <- s.total_latency + 2 + (hops * t.hop_cost);
-  s.max_occupancy <- max s.max_occupancy (List.length t.in_flight);
+  s.total_latency <- s.total_latency + 2 + lat;
+  s.max_occupancy <- Int.max s.max_occupancy t.count;
   emit t
     (Ev_send { ev_src = src; ev_dst = dst; ev_seq = msg.seq; ev_payload = payload });
   msg
 
 let send t ~now ~src ~dst payload =
-  if dst < 0 || dst >= Mesh.n_cores t.net_mesh then Error (Bad_destination dst)
+  if not (on_mesh t dst) then Error (Bad_destination dst)
   else if pending t ~src ~dst >= t.capacity then Error Channel_full
   else begin
     let msg = enqueue t ~now ~src ~dst payload in
     transmit t ~now msg;
+    if msg.condition <> Clean then t.unclean <- msg :: t.unclean;
     Ok ()
   end
 
 let defer t ~now ~src ~dst payload =
-  if dst < 0 || dst >= Mesh.n_cores t.net_mesh then invalid_arg "Net.defer";
+  if not (on_mesh t dst) then invalid_arg "Net.defer";
   let msg = enqueue t ~now ~src ~dst payload in
   (* Receive-queue overflow: the entry NACK parks the message at the sender,
      which retries on the same backoff schedule as a lost message. *)
@@ -290,180 +306,152 @@ let defer t ~now ~src ~dst payload =
   in
   msg.condition <- Lost;
   msg.retry_at <- now + Fault.backoff_of cfg ~attempt:msg.attempt;
+  t.unclean <- msg :: t.unclean;
   t.net_stats.nacks <- t.net_stats.nacks + 1
 
-let rec service_loop t now = function
-  | [] -> ()
+(* Retransmit the expired messages of [unclean] newest first, so a
+   fault-injected run draws its drop and corrupt rolls in descending seq
+   order. Returns whether any message came back [Clean]. *)
+let rec retransmit t now cleaned = function
+  | [] -> cleaned
   | m :: rest ->
-    if m.condition <> Clean && m.retry_at <= now then begin
-      let s = t.net_stats in
-      s.retries <- s.retries + 1;
-      if m.condition = Corrupt then s.nacks <- s.nacks + 1;
-      m.attempt <- m.attempt + 1;
-      transmit t ~now m
-    end;
-    service_loop t now rest
+    let cleaned =
+      if m.retry_at > now then cleaned
+      else begin
+        let s = t.net_stats in
+        s.retries <- s.retries + 1;
+        if m.condition = Corrupt then s.nacks <- s.nacks + 1;
+        if m.attempt = 1 then t.resent <- t.resent + 1;
+        m.attempt <- m.attempt + 1;
+        transmit t ~now m;
+        cleaned || m.condition = Clean
+      end
+    in
+    retransmit t now cleaned rest
 
 let service t ~now =
-  match t.in_flight with [] -> () | l -> service_loop t now l
+  match t.unclean with
+  | [] -> ()
+  | l ->
+    if retransmit t now false l then
+      t.unclean <- List.filter (fun m -> m.condition <> Clean) l
 
-(* Payload-class match without a closure: [want_start] selects the class,
-   and [src < 0] means "any sender" (START consumption). *)
-let class_matches want_start m =
-  match m.msg_payload with Start _ -> want_start | Value _ -> not want_start
+(* Pop the head of channel [i], keeping the running counts in step. *)
+let pop t i =
+  let m = Queue.take t.channels.(i) in
+  t.count <- t.count - 1;
+  if m.attempt > 1 then t.resent <- t.resent - 1;
+  if is_start m.msg_payload then
+    t.starts_to.(m.msg_dst) <- t.starts_to.(m.msg_dst) - 1;
+  m
 
-let rec find_deliverable t now dst src want_start best = function
-  | [] -> best
-  | m :: rest ->
-    let best =
-      if
-        m.msg_dst = dst
-        && (src < 0 || m.msg_src = src)
-        && class_matches want_start m
-        && deliverable t ~now m
-      then
-        match best with Some b when b.seq <= m.seq -> best | _ -> Some m
-      else best
-    in
-    find_deliverable t now dst src want_start best rest
-
-let rec remove_seq seq = function
-  | [] -> []
-  | m :: rest -> if m.seq = seq then rest else m :: remove_seq seq rest
-
-(* Find (and remove) the deliverable message on the matching channel class
-   with the smallest seq. *)
-let take t ~now ~dst ~src ~want_start =
-  match find_deliverable t now dst src want_start None t.in_flight with
-  | None -> None
-  | Some m ->
-    t.in_flight <- remove_seq m.seq t.in_flight;
-    emit t
-      (Ev_deliver
-         {
-           ev_src = m.msg_src;
-           ev_dst = m.msg_dst;
-           ev_seq = m.seq;
-           ev_payload = m.msg_payload;
-           ev_sent = m.msg_sent;
-         });
-    Some m
-
-let recv t ~now ~core ~sender =
-  match take t ~now ~dst:core ~src:sender ~want_start:false with
-  | Some { msg_payload = Value v; _ } -> Some v
-  | Some { msg_payload = Start _; _ } -> assert false
-  | None -> None
-
-let rec recv_ready_loop t now dst src = function
-  | [] -> false
-  | m :: rest ->
-    (m.msg_dst = dst && m.msg_src = src
-    && (match m.msg_payload with Value _ -> true | Start _ -> false)
-    && deliverable t ~now m)
-    || recv_ready_loop t now dst src rest
+let deliver t i =
+  let m = pop t i in
+  emit t
+    (Ev_deliver
+       { ev_src = m.msg_src; ev_dst = m.msg_dst; ev_seq = m.seq;
+         ev_payload = m.msg_payload; ev_sent = m.msg_sent });
+  m.msg_payload
 
 let recv_ready t ~now ~core ~sender =
-  recv_ready_loop t now core sender t.in_flight
+  on_mesh t sender
+  && head_ready t.channels.(chan t ~src:sender ~dst:core ~start:false) ~now
 
-let getb_ready t ~now ~core =
-  match t.broadcast with
-  | None -> false
-  | Some slot ->
-    (not t.consumed_bcast.(core))
-    && now >= slot.b_time + (Mesh.hops t.net_mesh slot.b_src core * t.hop_cost)
+let recv t ~now ~core ~sender =
+  if not (recv_ready t ~now ~core ~sender) then None
+  else
+    match deliver t (chan t ~src:sender ~dst:core ~start:false) with
+    | Value v -> Some v
+    | Start _ -> assert false
+
+(* The sleeping core takes the oldest deliverable Start over all senders. *)
+let take_start t ~now ~core =
+  if t.starts_to.(core) = 0 then None
+  else begin
+    let best = ref (-1) and best_seq = ref max_int in
+    for src = 0 to t.n - 1 do
+      let i = chan t ~src ~dst:core ~start:true in
+      let q = t.channels.(i) in
+      if head_ready q ~now && (Queue.peek q).seq < !best_seq then begin
+        best := i;
+        best_seq := (Queue.peek q).seq
+      end
+    done;
+    if !best < 0 then None
+    else
+      match deliver t !best with
+      | Start addr -> Some addr
+      | Value _ -> assert false
+  end
 
 (* --- Wake queries (stall fast-forward) ------------------------------------ *)
 
-(* Earliest cycle at which the matching receive condition can turn true,
-   assuming the machine issues nothing in between (so [in_flight] is
-   frozen). Only exact on a fault-free network: every message is [Clean]
-   and same-channel hop counts are equal, so the min [ready_time] over a
-   channel is its head's delivery time. [max_int] when nothing matching is
-   in flight — the wait is event-driven and cannot clear while no core
-   issues. *)
-let rec min_ready dst src want_start acc = function
-  | [] -> acc
-  | m :: rest ->
-    let acc =
-      if
-        m.msg_dst = dst
-        && (src < 0 || m.msg_src = src)
-        && class_matches want_start m
-      then min acc m.ready_time
-      else acc
-    in
-    min_ready dst src want_start acc rest
+(* Earliest [ready_time] on a channel, whatever its messages' condition;
+   [max_int] when it is empty (the wait is event-driven). Enqueue stamps
+   [now + 1 + latency], nondecreasing along a channel, so unless a
+   retransmission has restamped an in-flight message the head holds the
+   minimum — always so in the fault-free runs the machine fast-forwards. *)
+let channel_wake t i =
+  let q = t.channels.(i) in
+  if Queue.is_empty q then max_int
+  else if t.resent = 0 then (Queue.peek q).ready_time
+  else Queue.fold (fun acc m -> Int.min acc m.ready_time) max_int q
 
 let next_value_ready t ~core ~sender =
-  min_ready core sender false max_int t.in_flight
+  if not (on_mesh t sender) then max_int
+  else channel_wake t (chan t ~src:sender ~dst:core ~start:false)
 
-let next_start_ready t ~core = min_ready core (-1) true max_int t.in_flight
+let next_start_ready t ~core =
+  let w = ref max_int in
+  if t.starts_to.(core) > 0 then
+    for src = 0 to t.n - 1 do
+      w := Int.min !w (channel_wake t (chan t ~src ~dst:core ~start:true))
+    done;
+  !w
 
-let getb_wake t ~core =
-  match t.broadcast with
-  | None -> max_int
-  | Some slot ->
-    if t.consumed_bcast.(core) then max_int
-    else slot.b_time + (Mesh.hops t.net_mesh slot.b_src core * t.hop_cost)
+(* --- Cold paths: diagnosis and test backdoors ------------------------------ *)
 
-let take_start t ~now ~core =
-  if t.in_flight == [] then None
-  else
-    match take t ~now ~dst:core ~src:(-1) ~want_start:true with
-    | Some { msg_payload = Start addr; _ } -> Some addr
-    | Some { msg_payload = Value _; _ } -> assert false
-    | None -> None
+(* Every undelivered message, in seq order. *)
+let in_flight t =
+  Array.fold_left (fun acc q -> Queue.fold (fun acc m -> m :: acc) acc q) [] t.channels
+  |> List.sort (fun a b -> compare a.seq b.seq)
 
 let in_flight_summary t =
-  List.sort (fun a b -> compare a.seq b.seq) t.in_flight
-  |> List.map (fun m ->
-         let payload =
-           match m.msg_payload with
-           | Value v -> Printf.sprintf "value %d" v
-           | Start a -> Printf.sprintf "start @%d" a
-         in
-         let state =
-           match m.condition with
-           | Clean -> Printf.sprintf "deliverable @%d" m.ready_time
-           | Lost ->
-             Printf.sprintf "lost, retry @%d (attempt %d)" m.retry_at m.attempt
-           | Corrupt ->
-             Printf.sprintf "corrupt, retry @%d (attempt %d)" m.retry_at
-               m.attempt
-         in
-         (m.msg_src, m.msg_dst, payload ^ ", " ^ state))
+  List.map
+    (fun m ->
+      let payload =
+        match m.msg_payload with
+        | Value v -> Printf.sprintf "value %d" v
+        | Start a -> Printf.sprintf "start @%d" a
+      in
+      let state =
+        match m.condition with
+        | Clean -> Printf.sprintf "deliverable @%d" m.ready_time
+        | Lost ->
+          Printf.sprintf "lost, retry @%d (attempt %d)" m.retry_at m.attempt
+        | Corrupt ->
+          Printf.sprintf "corrupt, retry @%d (attempt %d)" m.retry_at m.attempt
+      in
+      (m.msg_src, m.msg_dst, payload ^ ", " ^ state))
+    (in_flight t)
 
 let idle t =
-  t.in_flight = []
+  t.count = 0
   && Array.for_all (fun row -> Array.for_all (fun l -> not l.filled) row) t.latches
 
-(* --- Test backdoors -------------------------------------------------------- *)
-
-(* Oldest in-flight message, optionally restricted to Value payloads. *)
-let oldest_in_flight ?(values_only = false) t =
-  List.fold_left
-    (fun best m ->
-      let eligible =
-        (not values_only)
-        || match m.msg_payload with Value _ -> true | Start _ -> false
-      in
-      if not eligible then best
-      else match best with Some b when b.seq <= m.seq -> best | _ -> Some m)
-    None t.in_flight
-
 let test_tamper_payload t =
-  match oldest_in_flight ~values_only:true t with
-  | None -> false
-  | Some m ->
-    (match m.msg_payload with
-    | Value v -> m.msg_payload <- Value (v lxor 1)
-    | Start _ -> assert false);
+  match List.find_opt (fun m -> not (is_start m.msg_payload)) (in_flight t) with
+  | Some ({ msg_payload = Value v; _ } as m) ->
+    m.msg_payload <- Value (v lxor 1);
     true
+  | Some { msg_payload = Start _; _ } | None -> false
 
+(* The oldest message is necessarily the head of its channel. *)
 let test_drop t =
-  match oldest_in_flight t with
-  | None -> false
-  | Some m ->
-    t.in_flight <- remove_seq m.seq t.in_flight;
+  match in_flight t with
+  | [] -> false
+  | m :: _ ->
+    let i = chan t ~src:m.msg_src ~dst:m.msg_dst ~start:(is_start m.msg_payload) in
+    ignore (pop t i);
+    t.unclean <- List.filter (fun m' -> m' != m) t.unclean;
     true

@@ -18,6 +18,14 @@
     receive queue), per §3.1. SPAWN travels the same network carrying a
     start address.
 
+    The receive queues are modelled as one FIFO per (sender, receiver,
+    payload class) in seq order, indexed by sender like the CAM: only a
+    FIFO's head can deliver. {!recv_ready}, {!recv}, {!pending},
+    {!in_flight_count} and the fault-free wake queries cost O(1);
+    {!take_start} and {!next_start_ready} return at once when no [Start]
+    is addressed to the core and otherwise look at one head per sender.
+    {!service} is free while every message is clean.
+
     {b Resilience}: with a {!Voltron_fault.Fault} injector attached, each
     transmission can be dropped or corrupted. Delivery is protected by an
     ack/NACK + timeout protocol: a lost message is retransmitted after a

@@ -12,6 +12,7 @@ module Stats = Voltron_machine.Stats
 module Config = Voltron_machine.Config
 module Run = Voltron.Run
 module Suite = Voltron_workloads.Suite
+module Net = Voltron_net.Operand_network
 
 let scale = 0.1
 
@@ -144,6 +145,23 @@ let test_disabled_is_identical () =
   Alcotest.(check int) "identical cycles" plain.Run.cycles faulted.Run.cycles;
   Alcotest.(check int) "no faults" 0 faulted.Run.stats.Stats.faults_injected
 
+let test_pinned_fault_runs () =
+  (* Two 16-core runs pinned to the counters the retry protocol has always
+     given them (= `run --bench B --cores 16 --fault-rate 5e-3 --fault-seed
+     3 --scale 0.2`). The retransmission order decides which message each
+     drop/corrupt roll lands on, so a change to it moves these numbers. *)
+  List.iter
+    (fun (name, cycles, retries, nacks) ->
+      let fault = Fault.uniform ~seed:3 ~rate:5e-3 () in
+      let p = (Suite.by_name name).Suite.build ~scale:0.2 () in
+      let m = (Run.run_resilient ~tweak:(with_fault fault) ~n_cores:16 p).Run.final in
+      let ns = m.Run.net_stats in
+      Alcotest.(check bool) (name ^ " verified") true m.Run.verified;
+      Alcotest.(check int) (name ^ " cycles") cycles m.Run.cycles;
+      Alcotest.(check int) (name ^ " retries") retries ns.Net.retries;
+      Alcotest.(check int) (name ^ " nacks") nacks ns.Net.nacks)
+    [ ("cjpeg", 38673, 32, 19); ("mpeg2dec", 41708, 41, 21) ]
+
 (* --- Graceful degradation ------------------------------------------------- *)
 
 let test_degradation_ladder () =
@@ -190,6 +208,7 @@ let () =
           Alcotest.test_case "stall faults" `Quick test_stall_faults_recovered;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
           Alcotest.test_case "disabled is free" `Quick test_disabled_is_identical;
+          Alcotest.test_case "pinned 16-core fault runs" `Quick test_pinned_fault_runs;
         ] );
       ( "degradation",
         [

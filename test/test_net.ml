@@ -260,6 +260,316 @@ let test_exactly_once =
           && Net.recv n ~now ~core:dst ~sender:src = None)
         sent true)
 
+(* --- Reference model ---------------------------------------------------------
+
+   The queue-mode protocol written the simplest way: every in-flight
+   message in one list, newest first, scanned by each query. The
+   network's per-channel indexing must be indistinguishable from it in
+   every return value, counter, diagnosis line and monitor event. *)
+
+module Ref_net = struct
+  type cond = Clean | Lost | Corrupt
+
+  type msg = {
+    src : int;
+    dst : int;
+    mutable payload : Net.payload;
+    sent : int;
+    mutable ready : int;
+    seq : int;
+    mutable cond : cond;
+    mutable attempt : int;
+    mutable retry_at : int;
+  }
+
+  type t = {
+    mesh : Mesh.t;
+    hop_cost : int;
+    capacity : int;
+    faults : Fault.t option;
+    mutable msgs : msg list;  (** newest first *)
+    mutable next_seq : int;
+    stats : Net.stats;
+    mutable events : Net.event list;  (** newest first *)
+  }
+
+  let create ?faults ~hop_cost mesh ~receive_capacity =
+    {
+      mesh;
+      hop_cost;
+      capacity = receive_capacity;
+      faults;
+      msgs = [];
+      next_seq = 0;
+      stats =
+        { Net.msgs_sent = 0; total_latency = 0; max_occupancy = 0; retries = 0;
+          nacks = 0 };
+      events = [];
+    }
+
+  let is_start = function Net.Start _ -> true | Net.Value _ -> false
+  let latency t m = Mesh.hops t.mesh m.src m.dst * t.hop_cost
+  let same_channel a b =
+    a.src = b.src && a.dst = b.dst && is_start a.payload = is_start b.payload
+
+  let deliverable t ~now m =
+    m.cond = Clean && m.ready <= now
+    && not (List.exists (fun m' -> same_channel m m' && m'.seq < m.seq) t.msgs)
+
+  let transmit t ~now m =
+    m.ready <- now + 1 + latency t m;
+    m.cond <- Clean;
+    match t.faults with
+    | Some f when m.attempt <= (Fault.config f).Fault.max_retries ->
+      if Fault.roll_drop f then begin
+        m.cond <- Lost;
+        m.retry_at <- now + Fault.backoff f ~attempt:m.attempt
+      end
+      else if Fault.roll_corrupt f then begin
+        m.cond <- Corrupt;
+        m.retry_at <- m.ready + Fault.backoff f ~attempt:m.attempt
+      end
+    | Some _ | None -> ()
+
+  let enqueue t ~now ~src ~dst payload =
+    let m =
+      { src; dst; payload; sent = now; ready = 0; seq = t.next_seq; cond = Clean;
+        attempt = 1; retry_at = 0 }
+    in
+    m.ready <- now + 1 + latency t m;
+    t.next_seq <- t.next_seq + 1;
+    t.msgs <- m :: t.msgs;
+    let s = t.stats in
+    s.Net.msgs_sent <- s.Net.msgs_sent + 1;
+    s.Net.total_latency <- s.Net.total_latency + 2 + latency t m;
+    s.Net.max_occupancy <- max s.Net.max_occupancy (List.length t.msgs);
+    t.events <-
+      Net.Ev_send { ev_src = src; ev_dst = dst; ev_seq = m.seq; ev_payload = payload }
+      :: t.events;
+    m
+
+  let pending t ~src ~dst =
+    List.length (List.filter (fun m -> m.src = src && m.dst = dst) t.msgs)
+
+  let send t ~now ~src ~dst payload =
+    if dst < 0 || dst >= Mesh.n_cores t.mesh then Error (Net.Bad_destination dst)
+    else if pending t ~src ~dst >= t.capacity then Error Net.Channel_full
+    else begin
+      transmit t ~now (enqueue t ~now ~src ~dst payload);
+      Ok ()
+    end
+
+  let defer t ~now ~src ~dst payload =
+    let m = enqueue t ~now ~src ~dst payload in
+    let cfg = match t.faults with Some f -> Fault.config f | None -> Fault.disabled in
+    m.cond <- Lost;
+    m.retry_at <- now + Fault.backoff_of cfg ~attempt:m.attempt;
+    t.stats.Net.nacks <- t.stats.Net.nacks + 1
+
+  let service t ~now =
+    List.iter
+      (fun m ->
+        if m.cond <> Clean && m.retry_at <= now then begin
+          t.stats.Net.retries <- t.stats.Net.retries + 1;
+          if m.cond = Corrupt then t.stats.Net.nacks <- t.stats.Net.nacks + 1;
+          m.attempt <- m.attempt + 1;
+          transmit t ~now m
+        end)
+      t.msgs
+
+  let matches ~dst ~src ~start m =
+    m.dst = dst && (src < 0 || m.src = src) && is_start m.payload = start
+
+  (* Oldest deliverable message of the class, removed and announced. *)
+  let take t ~now ~dst ~src ~start =
+    let ready =
+      List.filter (fun m -> matches ~dst ~src ~start m && deliverable t ~now m) t.msgs
+    in
+    match List.sort (fun a b -> compare a.seq b.seq) ready with
+    | [] -> None
+    | m :: _ ->
+      t.msgs <- List.filter (fun m' -> m'.seq <> m.seq) t.msgs;
+      t.events <-
+        Net.Ev_deliver
+          { ev_src = m.src; ev_dst = m.dst; ev_seq = m.seq; ev_payload = m.payload;
+            ev_sent = m.sent }
+        :: t.events;
+      Some m.payload
+
+  let recv t ~now ~core ~sender =
+    match take t ~now ~dst:core ~src:sender ~start:false with
+    | Some (Net.Value v) -> Some v
+    | Some (Net.Start _) | None -> None
+
+  let recv_ready t ~now ~core ~sender =
+    List.exists
+      (fun m -> matches ~dst:core ~src:sender ~start:false m && deliverable t ~now m)
+      t.msgs
+
+  let take_start t ~now ~core =
+    match take t ~now ~dst:core ~src:(-1) ~start:true with
+    | Some (Net.Start a) -> Some a
+    | Some (Net.Value _) | None -> None
+
+  let min_ready t ~dst ~src ~start =
+    List.fold_left
+      (fun acc m -> if matches ~dst ~src ~start m then min acc m.ready else acc)
+      max_int t.msgs
+
+  let next_value_ready t ~core ~sender = min_ready t ~dst:core ~src:sender ~start:false
+  let next_start_ready t ~core = min_ready t ~dst:core ~src:(-1) ~start:true
+
+  let in_flight_summary t =
+    List.sort (fun a b -> compare a.seq b.seq) t.msgs
+    |> List.map (fun m ->
+           let payload =
+             match m.payload with
+             | Net.Value v -> Printf.sprintf "value %d" v
+             | Net.Start a -> Printf.sprintf "start @%d" a
+           in
+           let state =
+             match m.cond with
+             | Clean -> Printf.sprintf "deliverable @%d" m.ready
+             | Lost ->
+               Printf.sprintf "lost, retry @%d (attempt %d)" m.retry_at m.attempt
+             | Corrupt ->
+               Printf.sprintf "corrupt, retry @%d (attempt %d)" m.retry_at m.attempt
+           in
+           (m.src, m.dst, payload ^ ", " ^ state))
+end
+
+type op =
+  | Advance of int
+  | Send of int * int * bool  (** src, dst, start *)
+  | Defer of int * int * bool
+  | Recv of int * int  (** core, sender *)
+  | Recv_ready of int * int
+  | Take_start of int
+  | Service
+  | Value_wake of int * int  (** core, sender *)
+  | Start_wake of int
+  | Pending of int * int  (** src, dst *)
+
+let op_to_string = function
+  | Advance k -> Printf.sprintf "advance %d" k
+  | Send (s, d, st) -> Printf.sprintf "send %d->%d%s" s d (if st then " start" else "")
+  | Defer (s, d, st) ->
+    Printf.sprintf "defer %d->%d%s" s d (if st then " start" else "")
+  | Recv (c, s) -> Printf.sprintf "recv %d<-%d" c s
+  | Recv_ready (c, s) -> Printf.sprintf "recv_ready %d<-%d" c s
+  | Take_start c -> Printf.sprintf "take_start %d" c
+  | Service -> "service"
+  | Value_wake (c, s) -> Printf.sprintf "value_wake %d<-%d" c s
+  | Start_wake c -> Printf.sprintf "start_wake %d" c
+  | Pending (s, d) -> Printf.sprintf "pending %d->%d" s d
+
+(* Traffic concentrates on a few cores so channels fill, overflow and
+   hold retried heads, while the rest of the mesh stays addressable. A
+   [peer] (a SEND target or RECV sender) is now and then off the mesh. *)
+let gen_case =
+  let open QCheck.Gen in
+  oneofl [ 2; 4; 9; 16 ] >>= fun n ->
+  let core = frequency [ (3, int_bound (min n 3 - 1)); (1, int_bound (n - 1)) ] in
+  let peer = frequency [ (20, core); (1, return n) ] in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Advance k) (int_bound 3));
+        ( 6,
+          map3 (fun s d st -> Send (s, d, st)) core peer
+            (frequencyl [ (4, false); (1, true) ]) );
+        (1, map3 (fun s d st -> Defer (s, d, st)) core core bool);
+        (4, map2 (fun c s -> Recv (c, s)) core peer);
+        (2, map2 (fun c s -> Recv_ready (c, s)) core peer);
+        (2, map (fun c -> Take_start c) core);
+        (3, return Service);
+        (2, map2 (fun c s -> Value_wake (c, s)) core peer);
+        (1, map (fun c -> Start_wake c) core);
+        (1, map2 (fun s d -> Pending (s, d)) core peer);
+      ]
+  in
+  triple (return n) (int_range 0 2) (list_size (int_range 20 250) op)
+
+let arb_case =
+  QCheck.make gen_case ~print:(fun (n, hop_cost, ops) ->
+      Printf.sprintf "%d cores, hop cost %d: %s" n hop_cost
+        (String.concat "; " (List.map op_to_string ops)))
+
+(* Drive [Net] and [Ref_net] through the same ops; every observable must
+   agree after every op. [faults] builds one injector per side from the
+   same config, so both draw the same rolls. *)
+let agrees_with_model ~faults (n, hop_cost, ops) =
+  let mesh = Mesh.create n in
+  let net = Net.create ?faults:(faults ()) ~hop_cost mesh ~receive_capacity:3 in
+  let model = Ref_net.create ?faults:(faults ()) ~hop_cost mesh ~receive_capacity:3 in
+  let events = ref [] in
+  Net.set_monitor net (fun e -> events := e :: !events);
+  let now = ref 0 and value = ref 0 in
+  let payload start =
+    incr value;
+    if start then Net.Start !value else Net.Value !value
+  in
+  let same what a b =
+    if a <> b then
+      QCheck.Test.fail_reportf "cycle %d: %s differs from the model" !now what
+  in
+  List.iter
+    (fun op ->
+      let now_ = !now in
+      (match op with
+      | Advance k -> now := now_ + k
+      | Send (src, dst, start) ->
+        let p = payload start in
+        same (op_to_string op) (Ref_net.send model ~now:now_ ~src ~dst p)
+          (Net.send net ~now:now_ ~src ~dst p)
+      | Defer (src, dst, start) ->
+        let p = payload start in
+        Ref_net.defer model ~now:now_ ~src ~dst p;
+        Net.defer net ~now:now_ ~src ~dst p
+      | Recv (core, sender) ->
+        same (op_to_string op) (Ref_net.recv model ~now:now_ ~core ~sender)
+          (Net.recv net ~now:now_ ~core ~sender)
+      | Recv_ready (core, sender) ->
+        same (op_to_string op) (Ref_net.recv_ready model ~now:now_ ~core ~sender)
+          (Net.recv_ready net ~now:now_ ~core ~sender)
+      | Take_start core ->
+        same (op_to_string op) (Ref_net.take_start model ~now:now_ ~core)
+          (Net.take_start net ~now:now_ ~core)
+      | Service ->
+        Ref_net.service model ~now:now_;
+        Net.service net ~now:now_
+      | Value_wake (core, sender) ->
+        same (op_to_string op) (Ref_net.next_value_ready model ~core ~sender)
+          (Net.next_value_ready net ~core ~sender)
+      | Start_wake core ->
+        same (op_to_string op) (Ref_net.next_start_ready model ~core)
+          (Net.next_start_ready net ~core)
+      | Pending (src, dst) ->
+        same (op_to_string op) (Ref_net.pending model ~src ~dst)
+          (Net.pending net ~src ~dst));
+      same "stats" model.Ref_net.stats (Net.stats net);
+      same "in_flight_count" (List.length model.Ref_net.msgs) (Net.in_flight_count net);
+      same "idle" (model.Ref_net.msgs = []) (Net.idle net);
+      same "in_flight_summary" (Ref_net.in_flight_summary model)
+        (Net.in_flight_summary net);
+      same "event stream" model.Ref_net.events !events)
+    ops;
+  true
+
+let test_model_fault_free =
+  QCheck.Test.make ~name:"list model, fault-free" ~count:300 arb_case
+    (agrees_with_model ~faults:(fun () -> None))
+
+let test_model_faulty =
+  let cfg =
+    { Fault.disabled with
+      Fault.fault_seed = 5; drop_rate = 0.15; corrupt_rate = 0.15; retry_timeout = 2;
+      max_retries = 3 }
+  in
+  QCheck.Test.make ~name:"list model, drops and corruption" ~count:300
+    arb_case
+    (agrees_with_model ~faults:(fun () -> Some (Fault.create cfg)))
+
 let () =
   Alcotest.run "net"
     [
@@ -292,5 +602,10 @@ let () =
           Alcotest.test_case "bounded drop retry" `Quick test_drop_retry_bounded;
           Alcotest.test_case "corrupt nack retry" `Quick test_corrupt_nack_retry;
           Alcotest.test_case "head-of-line order" `Quick test_head_of_line_order;
+        ] );
+      ( "model",
+        [
+          QCheck_alcotest.to_alcotest test_model_fault_free;
+          QCheck_alcotest.to_alcotest test_model_faulty;
         ] );
     ]

@@ -34,9 +34,10 @@ let outcome_tag (o : Machine.outcome) =
   | Machine.Fault_limit _ -> "fault-limit"
   | Machine.Stopped _ -> "stopped"
 
-let run_one ~ff ~choice ~cores program =
+let run_one ?(coherence = Voltron_mem.Coherence.Snoop) ~ff ~choice ~cores program =
   let machine =
-    { (Config.default ~n_cores:cores) with Config.fast_forward = ff }
+    Config.with_coherence coherence
+      { (Config.default ~n_cores:cores) with Config.fast_forward = ff }
   in
   let compiled = Driver.compile ~machine ~choice ~check:false program in
   let m = Machine.create machine compiled.Driver.executable in
@@ -55,10 +56,18 @@ let run_one ~ff ~choice ~cores program =
 let choices =
   [ (`Seq, "seq"); (`Ilp, "ilp"); (`Tlp, "tlp"); (`Llp, "llp"); (`Hybrid, "hybrid") ]
 
-(* Every benchmark x every strategy x {2, 4} cores: fast-forward on and
-   off must be indistinguishable in everything but wall-clock. Structural
-   equality is exact here: [Stats.t] and [Region_profile.row] are records
-   of ints, strings and int arrays. *)
+(* Fast-forward on and off must be indistinguishable in everything but
+   wall-clock. Structural equality is exact here: [Stats.t] and
+   [Region_profile.row] are records of ints, strings and int arrays. *)
+let check_same label ~fast ~slow =
+  Alcotest.(check string) (label ^ " outcome") slow.outcome_tag fast.outcome_tag;
+  Alcotest.(check int) (label ^ " cycles") slow.cycles fast.cycles;
+  Alcotest.(check int) (label ^ " checksum") slow.checksum fast.checksum;
+  Alcotest.(check bool) (label ^ " stats bit-identical") true (slow.stats = fast.stats);
+  Alcotest.(check bool)
+    (label ^ " attribution bit-identical") true (slow.regions = fast.regions)
+
+(* Every benchmark x every strategy x {2, 4} cores. *)
 let test_differential () =
   List.iter
     (fun (b : Suite.benchmark) ->
@@ -72,19 +81,29 @@ let test_differential () =
               in
               let fast = run_one ~ff:true ~choice ~cores program in
               let slow = run_one ~ff:false ~choice ~cores program in
-              Alcotest.(check string)
-                (label ^ " outcome") slow.outcome_tag fast.outcome_tag;
-              Alcotest.(check int) (label ^ " cycles") slow.cycles fast.cycles;
-              Alcotest.(check int)
-                (label ^ " checksum") slow.checksum fast.checksum;
-              Alcotest.(check bool)
-                (label ^ " stats bit-identical") true (slow.stats = fast.stats);
-              Alcotest.(check bool)
-                (label ^ " attribution bit-identical") true
-                (slow.regions = fast.regions))
+              check_same label ~fast ~slow)
             [ 2; 4 ])
         choices)
     Suite.all
+
+(* 16 cores on the directory backend: the densest queue-mode traffic, so
+   the network's wake queries (next value, next spawn, broadcast arrival)
+   bound many fast-forward windows. The programs are the suite's most
+   decoupled under the hybrid plan at this size. *)
+let test_differential_mesh16 () =
+  List.iter
+    (fun name ->
+      let program = (Suite.by_name name).Suite.build ~scale () in
+      List.iter
+        (fun (choice, cname) ->
+          let label = Printf.sprintf "%s/%s/16 cores/directory" name cname in
+          let run ff =
+            run_one ~coherence:Voltron_mem.Coherence.Directory ~ff ~choice ~cores:16
+              program
+          in
+          check_same label ~fast:(run true) ~slow:(run false))
+        [ (`Hybrid, "hybrid"); (`Tlp, "tlp") ])
+    [ "164.gzip"; "179.art"; "183.equake"; "256.bzip2"; "epic" ]
 
 (* Per-cycle minor-heap budget, in words. The sweep's residual allocations
    are small and bounded (a [Some wait] per blocked core-cycle, a [Some
@@ -121,7 +140,11 @@ let () =
   Alcotest.run "perf"
     [
       ( "fast-forward",
-        [ Alcotest.test_case "differential suite sweep" `Slow test_differential ] );
+        [
+          Alcotest.test_case "differential suite sweep" `Slow test_differential;
+          Alcotest.test_case "16-core directory differential" `Slow
+            test_differential_mesh16;
+        ] );
       ( "allocation",
         [ Alcotest.test_case "per-cycle budget" `Quick test_allocation_budget ] );
     ]

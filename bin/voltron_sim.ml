@@ -54,6 +54,12 @@ let program_of_name name scale =
         name;
       exit 2)
 
+(* Every --all sweep's targets: the workload suite plus the micro kernels. *)
+let sweep_targets scale =
+  List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
+  @ [ "micro:gsm_llp"; "micro:gzip_strands"; "micro:gsm_ilp" ]
+  |> List.map (fun n -> (n, program_of_name n scale))
+
 (* Either a named benchmark or a VC source file. *)
 let resolve_program bench file scale =
   match (bench, file) with
@@ -291,11 +297,7 @@ let sanity_clean (m : Voltron.Run.measurement) =
    strategy at the given core count, one line per cell — the CI's sanitized
    sweep entry point. *)
 let run_sweep ~cores ~coherence ~scale ~check ~sanitize ~no_profile ~jobs () =
-  let targets =
-    (List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
-    @ [ "micro:gsm_llp"; "micro:gzip_strands"; "micro:gsm_ilp" ])
-    |> List.map (fun n -> (n, program_of_name n scale))
-  in
+  let targets = sweep_targets scale in
   let strategies = [ "seq"; "ilp"; "tlp"; "llp"; "hybrid" ] in
   (* One cell per benchmark: the profile is collected once and shared by
      the five strategy runs, all inside the cell. *)
@@ -516,11 +518,7 @@ let check_diag_json (d : Check.diag) =
 let check_cmd =
   let check bench file all cores strategy scale json_out jobs =
     let targets =
-      if all then
-        List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
-        @ [ "micro:gsm_llp"; "micro:gzip_strands"; "micro:gsm_ilp" ]
-        |> List.map (fun n -> (n, program_of_name n scale))
-      else [ resolve_program bench file scale ]
+      if all then sweep_targets scale else [ resolve_program bench file scale ]
     in
     let strategies =
       if all then [ "seq"; "ilp"; "tlp"; "llp"; "hybrid" ] else [ strategy ]
@@ -627,6 +625,24 @@ let disasm_cmd =
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble the generated per-core code.")
     Term.(const disasm $ bench_arg $ file_arg $ cores_arg $ strategy_arg $ scale_arg)
 
+(* Why a raw machine run did not finish, as the failure text on stderr;
+   [None] when it finished. *)
+let run_outcome_err (result : Machine.result) =
+  match result.Machine.outcome with
+  | Machine.Finished -> None
+  | Machine.Out_of_cycles -> Some "out of cycles"
+  | Machine.Deadlock d -> Some ("deadlock:\n" ^ Machine.diagnosis_to_string d)
+  | Machine.Fault_limit d ->
+    Some ("fault limit reached:\n" ^ Machine.diagnosis_to_string d)
+  | Machine.Stopped d -> Some ("stopped:\n" ^ Machine.diagnosis_to_string d)
+
+let exit_on_failure result =
+  match run_outcome_err result with
+  | None -> ()
+  | Some e ->
+    prerr_endline e;
+    exit 1
+
 let asm_cmd =
   let asm file cores =
     let prog =
@@ -637,35 +653,16 @@ let asm_cmd =
         exit 2
     in
     let machine = Config.default ~n_cores:cores in
-    let m = Voltron_machine.Machine.create machine prog in
-    let result = Voltron_machine.Machine.run m in
-    (match result.Voltron_machine.Machine.outcome with
-    | Voltron_machine.Machine.Finished ->
-      Printf.printf "finished in %d cycles\n" result.Voltron_machine.Machine.cycles
-    | Voltron_machine.Machine.Out_of_cycles ->
-      Printf.eprintf "out of cycles\n";
-      exit 1
-    | Voltron_machine.Machine.Deadlock d ->
-      Printf.eprintf "deadlock:\n%s\n"
-        (Voltron_machine.Machine.diagnosis_to_string d);
-      exit 1
-    | Voltron_machine.Machine.Fault_limit d ->
-      Printf.eprintf "fault limit reached:\n%s\n"
-        (Voltron_machine.Machine.diagnosis_to_string d);
-      exit 1
-    | Voltron_machine.Machine.Stopped d ->
-      Printf.eprintf "stopped:\n%s\n"
-        (Voltron_machine.Machine.diagnosis_to_string d);
-      exit 1);
+    let m = Machine.create machine prog in
+    let result = Machine.run m in
+    exit_on_failure result;
+    Printf.printf "finished in %d cycles\n" result.Machine.cycles;
     Stats.pp_summary
-      ~coherence:
-        (Voltron_mem.Coherence.total_stats (Voltron_machine.Machine.coherence m))
-      ~network:
-        (Voltron_net.Operand_network.stats (Voltron_machine.Machine.network m))
-      Format.std_formatter
-      (Voltron_machine.Machine.stats m);
+      ~coherence:(Coherence.total_stats (Machine.coherence m))
+      ~network:(Voltron_net.Operand_network.stats (Machine.network m))
+      Format.std_formatter (Machine.stats m);
     (* Show the first few data words, the usual place for results. *)
-    let mem = Voltron_machine.Machine.memory m in
+    let mem = Machine.memory m in
     let n = min 8 (Voltron_mem.Memory.size mem) in
     Printf.printf "mem[0..%d] =" (n - 1);
     for i = 0 to n - 1 do
@@ -689,36 +686,21 @@ let trace_cmd =
     let _, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
     let compiled = Driver.compile ~machine ~choice:(choice_of_string strategy) p in
-    let m = Voltron_machine.Machine.create machine compiled.Driver.executable in
+    let m = Machine.create machine compiled.Driver.executable in
     let tracer = Voltron_machine.Trace.create ~limit () in
-    Voltron_machine.Machine.set_tracer m tracer;
-    let result = Voltron_machine.Machine.run m in
-    let failed = ref false in
-    (match result.Voltron_machine.Machine.outcome with
-    | Voltron_machine.Machine.Finished -> ()
-    | Voltron_machine.Machine.Out_of_cycles ->
-      failed := true;
-      prerr_endline "out of cycles"
-    | Voltron_machine.Machine.Deadlock d ->
-      failed := true;
-      prerr_endline
-        ("deadlock: " ^ Voltron_machine.Machine.diagnosis_to_string d)
-    | Voltron_machine.Machine.Fault_limit d ->
-      failed := true;
-      prerr_endline
-        ("fault limit reached: " ^ Voltron_machine.Machine.diagnosis_to_string d)
-    | Voltron_machine.Machine.Stopped d ->
-      failed := true;
-      prerr_endline ("stopped: " ^ Voltron_machine.Machine.diagnosis_to_string d));
+    Machine.set_tracer m tracer;
+    let result = Machine.run m in
+    let failure = run_outcome_err result in
+    Option.iter prerr_endline failure;
     Voltron_machine.Trace.report ~timeline Format.std_formatter tracer
       compiled.Driver.executable;
     (match json_out with
     | None -> ()
     | Some path ->
       Voltron_obs.Chrome_trace.write ~path ~n_cores:cores
-        ~cycles:result.Voltron_machine.Machine.cycles tracer;
+        ~cycles:result.Machine.cycles tracer;
       Printf.printf "wrote Chrome trace to %s (open in chrome://tracing)\n" path);
-    if !failed then exit 1
+    if failure <> None then exit 1
   in
   let limit_arg =
     Arg.(value & opt int 100_000 & info [ "limit" ] ~docv:"N" ~doc:"Events to keep.")
@@ -757,20 +739,7 @@ let profile_cmd =
       else None
     in
     let result = Machine.run m in
-    (match result.Machine.outcome with
-    | Machine.Finished -> ()
-    | Machine.Out_of_cycles ->
-      Printf.eprintf "out of cycles\n";
-      exit 1
-    | Machine.Deadlock d ->
-      Printf.eprintf "deadlock:\n%s\n" (Machine.diagnosis_to_string d);
-      exit 1
-    | Machine.Fault_limit d ->
-      Printf.eprintf "fault limit reached:\n%s\n" (Machine.diagnosis_to_string d);
-      exit 1
-    | Machine.Stopped d ->
-      Printf.eprintf "stopped:\n%s\n" (Machine.diagnosis_to_string d);
-      exit 1);
+    exit_on_failure result;
     Printf.printf "benchmark  : %s\n" name;
     Printf.printf "strategy   : %s on %d cores\n" strategy cores;
     Printf.printf "cycles     : %d\n\n" result.Machine.cycles;
@@ -844,15 +813,6 @@ let profile_cmd =
       $ scale_arg $ sample_arg $ metrics_arg $ json_arg)
 
 (* --- blame: cross-core critical path, wait-for blame, what-if ------------ *)
-
-let run_outcome_err (result : Machine.result) =
-  match result.Machine.outcome with
-  | Machine.Finished -> None
-  | Machine.Out_of_cycles -> Some "out of cycles"
-  | Machine.Deadlock d -> Some ("deadlock:\n" ^ Machine.diagnosis_to_string d)
-  | Machine.Fault_limit d ->
-    Some ("fault limit reached:\n" ^ Machine.diagnosis_to_string d)
-  | Machine.Stopped d -> Some ("stopped:\n" ^ Machine.diagnosis_to_string d)
 
 let blame_cmd =
   let run_with_blame ~cores ~choice ~tweak p =
@@ -980,17 +940,7 @@ let blame_cmd =
     in
     let failed = ref false in
     if all then begin
-      let progs =
-        List.map
-          (fun (b : Suite.benchmark) ->
-            (b.Suite.bench_name, b.Suite.build ~scale ()))
-          Suite.all
-        @ [
-            ("micro:gsm_llp", Suite.micro_gsm_llp ~scale ());
-            ("micro:gzip_strands", Suite.micro_gzip_strands ~scale ());
-            ("micro:gsm_ilp", Suite.micro_gsm_ilp ~scale ());
-          ]
-      in
+      let progs = sweep_targets scale in
       let cell (name, p) =
         let out_buf = Buffer.create 256 and errs = ref [] in
         let out s = Buffer.add_string out_buf s in
@@ -1152,11 +1102,7 @@ let region_mode_estimates ~machine ~profile est (pr : Select.planned_region) =
 let noise_floor = 64.
 
 let analyze_sweep ~machine ~cores ~scale ~json_out ~jobs () =
-  let targets =
-    (List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
-    @ [ "micro:gsm_llp"; "micro:gzip_strands"; "micro:gsm_ilp" ])
-    |> List.map (fun n -> (n, program_of_name n scale))
-  in
+  let targets = sweep_targets scale in
   (* One cell per benchmark: analysis, hybrid run, per-region reconcile.
      Geomean inputs, JSON rows and printed chunks are all reassembled in
      benchmark order, so the report is identical at any [jobs]. *)

@@ -47,12 +47,14 @@ let run ?(choice = `Hybrid) ?(check = true) ?profile ?(tweak = fun c -> c)
   let machine = tweak (Config.default ~n_cores) in
   let compiled = Driver.compile ~machine ~choice ~check ?profile program in
   let m = Machine.create machine compiled.Driver.executable in
+  (* [prepare]'s subscribers go first, so the sanitizer's per-cycle check
+     sees whatever a test hook did that cycle. *)
+  prepare compiled m;
   let san =
     match sanitize with
     | None -> None
     | Some policy -> Some (Sanity.attach ~policy ~log:sanitize_log m)
   in
-  prepare compiled m;
   let result = Machine.run m in
   (match san with
   | None -> ()

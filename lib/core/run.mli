@@ -47,8 +47,9 @@ val run :
     used by the ablation benches and the resilience sweep. [prepare] sees
     the compiled program and the machine before the run starts — the
     observability layer's attachment point (tracers, region attribution,
-    samplers); it runs after the sanitizer attaches, so test harnesses can
-    also arm tampering backdoors there. [sanitize] attaches the runtime
+    samplers); it runs before the sanitizer subscribes, so a test hook
+    subscribed there acts before the sanitizer's per-cycle check, and test
+    harnesses can also arm tampering backdoors there. [sanitize] attaches the runtime
     invariant sanitizer under that policy (disabling stall fast-forward
     for the run) and fills the measurement's [sanity] report;
     [sanitize_log] sees each recorded violation as it happens. A simulator

@@ -19,10 +19,10 @@ type t = {
   fault : Voltron_fault.Fault.config;  (** injection + recovery parameters *)
   fast_forward : bool;
       (** skip provably-dead stall windows in the simulator, bulk-crediting
-          the skipped cycles to the same stall kinds and attribution cells
-          the per-cycle path would record (architecturally invisible; the
-          machine auto-falls back to per-cycle stepping whenever a tracer,
-          an on-cycle hook or a fault injector is attached) *)
+          the skipped cycles to the same stall kinds the per-cycle path
+          would record (architecturally invisible; the machine falls back
+          to per-cycle stepping whenever an [every_cycle] subscriber or a
+          fault injector is attached — see {!Machine.subscribe}) *)
 }
 
 val default : n_cores:int -> t

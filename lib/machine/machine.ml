@@ -30,14 +30,28 @@ type wait =
   | W_asleep
   | W_halted
 
-(* One cycle (or [k] identical cycles) of one core's time, as reported to
-   the causal profiler's blame hook: busy issuing, waiting (with the wait
-   and the peer core it resolves to, when it names one), or held by the
-   coupled-mode stall bus on a peer's behalf. *)
+(* One cycle (or [k] identical cycles) of one core's time: busy issuing,
+   waiting (with the wait and the peer core it resolves to, when it names
+   one), or held by the coupled-mode stall bus on a peer's behalf. *)
 type blame_event =
   | Blame_busy
   | Blame_wait of { b_wait : wait; b_on : int  (** -1: no blamed core *) }
   | Blame_lockstep of { b_kind : Stats.stall_kind }
+
+(* What the observation bus carries to subscribers. *)
+type event =
+  | Core_cycles of {
+      core : int;
+      pc : int;
+      k : int;
+      redo : bool;
+      what : blame_event;
+    }
+  | Window of { from : int; upto : int }
+  | Traced of Trace.event
+  | Access of { core : int; completion : int; kind : Coherence.kind; addr : int }
+  | Tm_event of Tm.event
+  | Net_event of Net.event
 
 type core_diag = {
   d_core : int;
@@ -128,34 +142,20 @@ type t = {
   mutable now : int;
   mutable serial_queue : int list;
   mutable last_progress : int;
-  mutable tracer : Trace.t option;
-  (* Per-region cycle attribution: the store plus the pc->region map the
-     observability layer derived from the compiler's region extents. *)
-  mutable attr : (Stats.region_acct * (core:int -> pc:int -> int)) option;
-  mutable on_cycle : (now:int -> unit) option;
-  (* Runtime sanitizer: a per-cycle check hook (runs after [on_cycle]) plus
-     a stop request it can raise from any monitor callback; the run loop
-     converts the request into a [Stopped] outcome at the end of the cycle. *)
-  mutable on_sanity : (now:int -> unit) option;
+  (* The observation bus: subscribers in subscription order, and whether
+     any of them must see every cycle. Empty (the default), every event
+     site is a single branch, off the allocation path. *)
+  mutable subs : (event -> unit) array;
+  mutable every_cycle : bool;
+  (* A stop request any subscriber can raise; the run loop converts it into
+     a [Stopped] outcome at the end of the cycle. *)
   mutable stop_requested : bool;
-  (* Causal profiler: every core-cycle is reported exactly once as busy /
-     waiting / lockstep-held, with a repeat count [k] so the fast-forward
-     bulk paths stay exact. [None] (the default) keeps every report site to
-     a single branch, off the allocation path. *)
-  mutable blame :
-    (core:int -> pc:int -> k:int -> redo:bool -> blame_event -> unit) option;
-  (* Cycle-window hook: called once per run-loop iteration with the closed
-     cycle interval that iteration covered (a fast-forward jump covers
-     many). Unlike [on_cycle], attaching it does NOT disable fast-forward —
-     that is its whole point. *)
-  mutable on_window : (from:int -> upto:int -> unit) option;
   (* Stall fast-forward (Config.fast_forward). [ff_active] is resolved once
-     at run entry: on when nothing per-cycle-observing is attached (tracer,
-     sampler hook, fault injector — attribution is fine, its cells take bulk
-     credit). [wake] is a scratch out-parameter of [blocker]: the first
-     cycle its verdict can change. [sc_wait]/[sc_waiting] are per-core
-     scratch for the step functions, preallocated to stay off the per-cycle
-     allocation path. *)
+     at run entry: on unless a subscriber declared [every_cycle] or a fault
+     injector is rolling per-cycle randomness. [wake] is a scratch
+     out-parameter of [blocker]: the first cycle its verdict can change.
+     [sc_wait]/[sc_waiting] are per-core scratch for the step functions,
+     preallocated to stay off the per-cycle allocation path. *)
   mutable ff_active : bool;
   mutable wake : int;
   sc_wait : wait option array;
@@ -233,13 +233,9 @@ let create cfg (prog : Program.t) =
       now = 0;
       serial_queue = [];
       last_progress = 0;
-      tracer = None;
-      attr = None;
-      on_cycle = None;
-      on_sanity = None;
+      subs = [||];
+      every_cycle = false;
       stop_requested = false;
-      blame = None;
-      on_window = None;
       ff_active = false;
       wake = max_int;
       sc_wait = Array.make cfg.n_cores None;
@@ -257,35 +253,37 @@ let network t = t.net
 let tm t = t.tm
 let now t = t.now
 let mode t = t.mode
-let set_tracer t tr = t.tracer <- Some tr
-
-let set_attribution t ~region_of acct =
-  if acct.Stats.ra_n_cores <> t.cfg.Config.n_cores then
-    invalid_arg "Machine.set_attribution: core count mismatch";
-  t.attr <- Some (acct, region_of)
-
-let set_on_cycle t f = t.on_cycle <- Some f
-let set_sanity_cycle t f = t.on_sanity <- Some f
-let set_blame t f = t.blame <- Some f
-let set_on_window t f = t.on_window <- Some f
 let request_stop t = t.stop_requested <- true
 let pc t ~core = t.cores.(core).pc
 let config t = t.cfg
 
-let trace t ev =
-  match t.tracer with None -> () | Some tr -> Trace.record tr ev
+(* --- Observation bus ------------------------------------------------------ *)
 
-(* The attribution cell for [core] at [pc] under the current mode, when an
-   attribution is attached and the map yields a region in range. *)
-let att_cell t ~core ~pc =
-  match t.attr with
-  | None -> None
-  | Some (acct, region_of) ->
-    let r = region_of ~core ~pc in
-    if r < 0 || r >= acct.Stats.ra_n_regions then None
-    else
-      let mode_idx = match t.mode with Inst.Coupled -> 0 | Inst.Decoupled -> 1 in
-      Some acct.Stats.ra_cells.(r).(mode_idx).(core)
+let observed t = Array.length t.subs > 0
+
+let emit t ev =
+  let subs = t.subs in
+  for i = 0 to Array.length subs - 1 do
+    subs.(i) ev
+  done
+
+let subscribe t ?(every_cycle = false) f =
+  if not (observed t) then begin
+    (* The first subscriber installs the one forwarding monitor on each
+       subsystem; until then their event sites stay a single branch. *)
+    Coherence.set_monitor t.hier (fun ~core ~completion kind addr ->
+        emit t (Access { core; completion; kind; addr }));
+    Tm.set_monitor t.tm (fun ev -> emit t (Tm_event ev));
+    Net.set_monitor t.net (fun ev -> emit t (Net_event ev))
+  end;
+  t.subs <- Array.append t.subs [| f |];
+  t.every_cycle <- t.every_cycle || every_cycle
+
+let set_on_window t f =
+  subscribe t (function Window { from; upto } -> f ~from ~upto | _ -> ())
+
+(* Rare machine-level events only: the argument is built unconditionally. *)
+let trace t ev = if observed t then emit t (Traced ev)
 
 (* --- Register file with growth ------------------------------------------- *)
 
@@ -318,26 +316,6 @@ let write_reg cs r v ~ready ~prod =
   cs.prod.(r) <- prod
 
 let reg t ~core r = read_reg t.cores.(core) r
-
-(* Credit [k] consecutive stall cycles of the same kind at the core's
-   current pc — [k = 1] is the ordinary per-cycle path, [k > 1] the
-   fast-forward bulk credit (never traced: fast-forward is off whenever a
-   tracer is attached). *)
-let record_stalls t ~core kind k =
-  Stats.add_stall t.st ~core kind k;
-  match att_cell t ~core ~pc:t.cores.(core).pc with
-  | None -> ()
-  | Some cell ->
-    let i = Stats.stall_kind_index kind in
-    cell.Stats.rc_stalls.(i) <- cell.Stats.rc_stalls.(i) + k
-
-let record_stall t ~core kind =
-  record_stalls t ~core kind 1;
-  (* Guarded rather than routed through [trace]: the event record must not
-     be allocated on the (tracerless) hot path. *)
-  match t.tracer with
-  | None -> ()
-  | Some tr -> Trace.record tr (Trace.Stall { cycle = t.now; core; kind })
 
 (* --- Stall analysis ------------------------------------------------------ *)
 
@@ -382,8 +360,8 @@ let blame_of t cs w =
   | W_halted ->
     None
 
-(* The wait a non-Running status stands for. Only called with the blame
-   hook attached — the [W_barrier] case allocates. *)
+(* The wait a non-Running status stands for. Only called when observed —
+   the [W_barrier] case allocates. *)
 let wait_of_status = function
   | Running -> assert false
   | Asleep -> W_asleep
@@ -393,25 +371,54 @@ let wait_of_status = function
   | Wait_serial -> W_serial
   | Stuck w -> w
 
-(* Report [k] cycles of [cs] blocked on [w], resolving the blamed peer.
-   The [None] check comes first so the detached path allocates nothing. *)
-let blame_wait t cs w k =
-  match t.blame with
-  | None -> ()
-  | Some f ->
-    let b_on = match blame_of t cs w with Some c -> c | None -> -1 in
-    f ~core:cs.id ~pc:cs.pc ~k ~redo:cs.tm_serial
-      (Blame_wait { b_wait = w; b_on })
+(* Every core-cycle is credited exactly once: to the [Stats] counters and,
+   when observed, as one [Core_cycles] event — [k > 1] when a fast-forward
+   window credits [k] identical cycles in bulk. The [observed] check comes
+   first so the detached path allocates nothing. *)
+let report t cs ~pc ~k ~redo what =
+  emit t (Core_cycles { core = cs.id; pc; k; redo; what })
 
-(* Same, for a core whose status (rather than its blocker) is the wait. *)
-let blame_status t cs k =
-  match t.blame with
-  | None -> ()
-  | Some f ->
-    let w = wait_of_status cs.status in
-    let b_on = match blame_of t cs w with Some c -> c | None -> -1 in
-    f ~core:cs.id ~pc:cs.pc ~k ~redo:cs.tm_serial
-      (Blame_wait { b_wait = w; b_on })
+let report_wait t cs w k =
+  let b_on = match blame_of t cs w with Some c -> c | None -> -1 in
+  report t cs ~pc:cs.pc ~k ~redo:cs.tm_serial (Blame_wait { b_wait = w; b_on })
+
+(* [k] cycles of [cs] blocked on [w]. *)
+let stall_on t cs w k =
+  Stats.add_stall t.st ~core:cs.id (stall_of_wait w) k;
+  if observed t then report_wait t cs w k
+
+(* Same, for a core whose status (rather than its blocker) is the wait —
+   always a synchronisation stall. *)
+let stall_status t cs k =
+  Stats.add_stall t.st ~core:cs.id Stats.Sync k;
+  if observed t then report_wait t cs (wait_of_status cs.status) k
+
+(* The tracer is a projection of the bus: issues and stalls come from the
+   core-cycle reports, sends, spawns and receives from the network's
+   events, and only the machine-level rest travels as [Traced]. *)
+let trace_event t = function
+  | Core_cycles { core; pc; what = Blame_busy; _ } ->
+    let ops = (Image.decoded t.prog.images.(core) pc).Image.d_real_ops in
+    Some (Trace.Issue { cycle = t.now; core; pc; ops })
+  | Core_cycles { what = Blame_wait { b_wait = W_asleep | W_halted; _ }; _ } ->
+    None
+  | Core_cycles { core; what = Blame_wait { b_wait; _ }; _ } ->
+    Some (Trace.Stall { cycle = t.now; core; kind = stall_of_wait b_wait })
+  | Core_cycles { core; what = Blame_lockstep { b_kind }; _ } ->
+    Some (Trace.Stall { cycle = t.now; core; kind = b_kind })
+  | Net_event (Net.Ev_send { ev_src; ev_dst; ev_payload = Net.Value _; _ }) ->
+    Some (Trace.Sent { cycle = t.now; src = ev_src; dst = ev_dst })
+  | Net_event (Net.Ev_send { ev_src; ev_dst; ev_payload = Net.Start _; _ }) ->
+    Some (Trace.Spawned { cycle = t.now; by = ev_src; target = ev_dst })
+  | Net_event (Net.Ev_deliver { ev_src; ev_dst; ev_payload = Net.Value _; _ })
+    ->
+    Some (Trace.Recvd { cycle = t.now; core = ev_dst; sender = ev_src })
+  | Traced ev -> Some ev
+  | Net_event _ | Window _ | Access _ | Tm_event _ -> None
+
+let set_tracer t tr =
+  subscribe t ~every_cycle:true (fun ev ->
+      Option.iter (Trace.record tr) (trace_event t ev))
 
 (* First reason the core cannot issue its current bundle this cycle, or
    [None] when it can. Architecturally side-effect-free; as an
@@ -557,12 +564,6 @@ let exec_comm_out t cs op =
     Net.bcast t.net ~now ~src_core:cs.id (read_operand cs src)
   | Inst.Send { target; src } -> (
     let payload = Net.Value (read_operand cs src) in
-    (* Guarded, not routed through [trace]: SENDs are frequent and the
-       event record must not be allocated on the tracerless path. *)
-    (match t.tracer with
-    | None -> ()
-    | Some tr ->
-      Trace.record tr (Trace.Sent { cycle = now; src = cs.id; dst = target }));
     match Net.send t.net ~now ~src:cs.id ~dst:target payload with
     | Ok () -> ()
     | Error Net.Channel_full ->
@@ -578,7 +579,6 @@ let exec_comm_out t cs op =
   | Inst.Spawn { target; entry } -> (
     let addr = Image.resolve t.prog.images.(target) entry in
     t.st.spawns <- t.st.spawns + 1;
-    trace t (Trace.Spawned { cycle = t.now; by = cs.id; target });
     let payload = Net.Start addr in
     match Net.send t.net ~now ~src:cs.id ~dst:target payload with
     | Ok () -> ()
@@ -677,10 +677,6 @@ let exec_main t cs op : int option =
   | Inst.Recv { sender; dst; kind } -> (
     match Net.recv t.net ~now ~core:cs.id ~sender with
     | Some v ->
-      (match t.tracer with
-      | None -> ()
-      | Some tr ->
-        Trace.record tr (Trace.Recvd { cycle = now; core = cs.id; sender }));
       let prod =
         match kind with
         | Inst.Rv_data -> P_recv_data
@@ -737,18 +733,13 @@ let finish_issue t cs (d : Image.decoded) =
   let core_st = Stats.core t.st cs.id in
   core_st.busy <- core_st.busy + 1;
   core_st.bundles <- core_st.bundles + 1;
-  (match att_cell t ~core:cs.id ~pc:issued_pc with
-  | None -> ()
-  | Some cell -> cell.Stats.rc_busy <- cell.Stats.rc_busy + 1);
-  (match t.blame with
-  | None -> ()
-  | Some f -> f ~core:cs.id ~pc:issued_pc ~k:1 ~redo:was_redo Blame_busy);
+  if observed t then report t cs ~pc:issued_pc ~k:1 ~redo:was_redo Blame_busy;
   core_st.ops <- core_st.ops + d.Image.d_real_ops;
   core_st.ops_mem <- core_st.ops_mem + d.Image.d_n_mem;
   core_st.ops_comm <- core_st.ops_comm + d.Image.d_n_comm;
   core_st.ops_mul_div <- core_st.ops_mul_div + d.Image.d_n_muldiv;
   t.last_progress <- t.now;
-  (match cs.status with
+  match cs.status with
   | Running ->
     cs.pc <- (match target with Some tgt -> tgt | None -> cs.pc + 1);
     initiate_fetch t cs
@@ -759,29 +750,18 @@ let finish_issue t cs (d : Image.decoded) =
   | At_barrier _ | At_commit | Wait_serial ->
     (* Resume point: past this bundle (barrier ops never co-issue with a
        taken branch in generated code, but honour one if present). *)
-    cs.pc <- (match target with Some tgt -> tgt | None -> cs.pc + 1));
-  match t.tracer with
-  | None -> ()
-  | Some tr ->
-    Trace.record tr
-      (Trace.Issue
-         { cycle = t.now; core = cs.id; pc = issued_pc; ops = d.Image.d_real_ops })
+    cs.pc <- (match target with Some tgt -> tgt | None -> cs.pc + 1)
 
 (* --- Per-cycle stepping --------------------------------------------------- *)
 
 let record_idles t cs k =
   let core_st = Stats.core t.st cs.id in
   core_st.idle <- core_st.idle + k;
-  (match t.blame with
-  | None -> ()
-  | Some f ->
+  if observed t then
     (* A just-woken core (status already Running in [try_wake]) spent the
        cycle asleep waiting for its START — report it as such. *)
-    let w = if cs.status = Halted then W_halted else W_asleep in
-    f ~core:cs.id ~pc:cs.pc ~k ~redo:false (Blame_wait { b_wait = w; b_on = -1 }));
-  match att_cell t ~core:cs.id ~pc:cs.pc with
-  | None -> ()
-  | Some cell -> cell.Stats.rc_idle <- cell.Stats.rc_idle + k
+    let b_wait = if cs.status = Halted then W_halted else W_asleep in
+    report t cs ~pc:cs.pc ~k ~redo:false (Blame_wait { b_wait; b_on = -1 })
 
 let record_idle t cs = record_idles t cs 1
 
@@ -801,9 +781,10 @@ let try_wake t cs =
    condition (scoreboard thresholds and message arrival times are fixed
    while nothing issues, and event-driven waits cannot clear on their
    own). The step functions detect that configuration, credit the whole
-   window's stalls/idles in one bulk update to the very same counters and
-   attribution cells, and jump [t.now] to the window end — bit-identical
-   to stepping each cycle, minus the wall-clock. *)
+   window's stalls/idles in one bulk update to the very same counters (and
+   one [k]-cycle report per core to subscribers), and jump [t.now] to the
+   window end — bit-identical to stepping each cycle, minus the
+   wall-clock. *)
 
 (* Last cycle of the window starting at [t.now]: the cycle before the
    earliest verdict change, clipped so Out_of_cycles and the watchdog fire
@@ -822,14 +803,10 @@ let bulk_credit t k =
     let cs = cores.(i) in
     match cs.status with
     | Halted | Asleep -> record_idles t cs k
-    | Wait_serial | At_barrier _ | At_commit | Stuck _ ->
-      blame_status t cs k;
-      record_stalls t ~core:cs.id Stats.Sync k
+    | Wait_serial | At_barrier _ | At_commit | Stuck _ -> stall_status t cs k
     | Running -> (
       match t.sc_wait.(i) with
-      | Some w ->
-        blame_wait t cs w k;
-        record_stalls t ~core:cs.id (stall_of_wait w) k
+      | Some w -> stall_on t cs w k
       | None -> assert false)
   done
 
@@ -850,14 +827,10 @@ let decoupled_core_step t cs =
   match cs.status with
   | Halted -> record_idle t cs
   | Asleep -> try_wake t cs
-  | Wait_serial | At_barrier _ | At_commit | Stuck _ ->
-    blame_status t cs 1;
-    record_stall t ~core:cs.id Stats.Sync
+  | Wait_serial | At_barrier _ | At_commit | Stuck _ -> stall_status t cs 1
   | Running -> (
     match blocker t cs with
-    | Some w ->
-      blame_wait t cs w 1;
-      record_stall t ~core:cs.id (stall_of_wait w)
+    | Some w -> stall_on t cs w 1
     | None -> issue_decoupled t cs)
 
 (* Decoupled: each core progresses independently, in core order — a core's
@@ -913,14 +886,10 @@ let decoupled_step t =
         let cs = cores.(j) in
         match cs.status with
         | Halted | Asleep -> record_idle t cs
-        | Wait_serial | At_barrier _ | At_commit | Stuck _ ->
-          blame_status t cs 1;
-          record_stall t ~core:cs.id Stats.Sync
+        | Wait_serial | At_barrier _ | At_commit | Stuck _ -> stall_status t cs 1
         | Running -> (
           match t.sc_wait.(j) with
-          | Some w ->
-            blame_wait t cs w 1;
-            record_stall t ~core:cs.id (stall_of_wait w)
+          | Some w -> stall_on t cs w 1
           | None -> assert false)
       done;
       for j = !live to n - 1 do
@@ -997,18 +966,14 @@ let coupled_step t =
       let cs = cores.(i) in
       if cs.status = Running then
         match t.sc_wait.(i) with
-        | Some w ->
-          blame_wait t cs w 1;
-          record_stall t ~core:cs.id (stall_of_wait w)
+        | Some w -> stall_on t cs w 1
         | None ->
           (* Issueable, held only by the stall bus: blamed on the dominant
              peer reason, the lock-step overhead the coupled mode pays. *)
-          (match t.blame with
-          | None -> ()
-          | Some f ->
-            f ~core:cs.id ~pc:cs.pc ~k:1 ~redo:cs.tm_serial
-              (Blame_lockstep { b_kind = dominant }));
-          record_stall t ~core:cs.id dominant
+          Stats.add_stall t.st ~core:cs.id dominant 1;
+          if observed t then
+            report t cs ~pc:cs.pc ~k:1 ~redo:cs.tm_serial
+              (Blame_lockstep { b_kind = dominant })
     done
   end
   else begin
@@ -1045,10 +1010,7 @@ let coupled_step t =
      path credited them inside [bulk_credit].) *)
   if not bulked then
     for i = 0 to n - 1 do
-      if t.sc_waiting.(i) then begin
-        blame_status t cores.(i) 1;
-        record_stall t ~core:cores.(i).id Stats.Sync
-      end
+      if t.sc_waiting.(i) then stall_status t cores.(i) 1
     done
 
 (* --- Fault injection ------------------------------------------------------ *)
@@ -1351,16 +1313,12 @@ let finalize_counters t =
     t.st.flips_masked <- Ecc.masked e
 
 let run t =
-  (* Fast-forward needs every skipped cycle to be observationally dead:
-     any per-cycle observer (tracer, sampler hook) or per-cycle randomness
-     (fault injector) forces the cycle-by-cycle path. Attribution stays
-     compatible — its cells take the same credit in bulk. *)
+  (* Fast-forward needs every skipped cycle to be observationally dead: an
+     [every_cycle] subscriber or per-cycle randomness (fault injector)
+     forces the cycle-by-cycle path. Other subscribers take the same
+     core-cycle reports in bulk. *)
   t.ff_active <-
-    t.cfg.Config.fast_forward
-    && (match t.inj with None -> true | Some _ -> false)
-    && (match t.tracer with None -> true | Some _ -> false)
-    && (match t.on_cycle with None -> true | Some _ -> false)
-    && (match t.on_sanity with None -> true | Some _ -> false);
+    t.cfg.Config.fast_forward && Option.is_none t.inj && not t.every_cycle;
   let outcome = ref None in
   while !outcome = None do
     t.now <- t.now + 1;
@@ -1379,11 +1337,9 @@ let run t =
       resolve_mode_barrier t;
       resolve_tm_round t;
       resolve_serial_queue t;
-      (match t.on_cycle with None -> () | Some f -> f ~now:t.now);
       (* The step may have fast-forwarded: report the whole covered window.
          [c0 = t.now] when it stepped one cycle. *)
-      (match t.on_window with None -> () | Some f -> f ~from:c0 ~upto:t.now);
-      (match t.on_sanity with None -> () | Some f -> f ~now:t.now);
+      if observed t then emit t (Window { from = c0; upto = t.now });
       if t.stop_requested then outcome := Some (Stopped (diagnose t))
       else if finished t then outcome := Some Finished
       else if (match t.inj with Some f -> Fault.exceeded f | None -> false)

@@ -87,8 +87,8 @@ type outcome =
       (** fault injection crossed [degrade_threshold]; the caller should
           degrade to a simpler execution mode and re-run *)
   | Stopped of diagnosis
-      (** a hook called {!request_stop} — the runtime sanitizer halting the
-          machine at the cycle a violation was detected *)
+      (** a subscriber called {!request_stop} — the runtime sanitizer
+          halting the machine at the cycle a violation was detected *)
 
 type result = {
   outcome : outcome;
@@ -109,8 +109,8 @@ val network : t -> Voltron_net.Operand_network.t
 val tm : t -> Voltron_mem.Tm.t
 
 val now : t -> int
-(** Current simulated cycle (valid mid-run, e.g. from an {!set_on_cycle}
-    hook; equals [Stats.cycles] once the run finishes). *)
+(** Current simulated cycle (valid mid-run, e.g. from a subscriber; equals
+    [Stats.cycles] once the run finishes). *)
 
 val mode : t -> Voltron_isa.Inst.mode
 (** Current execution mode. *)
@@ -124,66 +124,83 @@ val config : t -> Config.t
 val reg : t -> core:int -> int -> int
 (** Inspect a register after (or during) a run — used by tests. *)
 
-val set_tracer : t -> Trace.t -> unit
-(** Attach a structured tracer recording issues, stalls, mode switches,
-    spawns and TM rounds (see {!Trace}). *)
+val stall_of_wait : wait -> Stats.stall_kind
+(** The Fig. 12 stall bucket a wait is counted in. *)
 
-(** {1 Observability hooks} *)
+(** {1 Observation bus}
 
-val set_attribution :
-  t -> region_of:(core:int -> pc:int -> int) -> Stats.region_acct -> unit
-(** Attach per-region cycle attribution. Every busy cycle is credited at
-    its issue pc, and every stall/idle cycle at the core's current pc,
-    into the acct cell for [region_of ~core ~pc] x the machine's execution
-    mode at that cycle. Out-of-range region indices are dropped — map
-    every pc (glue, HALT, ...) to a catch-all region to keep the acct's
-    totals equal to the run's core-cycles. Raises [Invalid_argument] on a
-    core-count mismatch. *)
+    Every observer of a run — tracer, per-region attribution, causal
+    profiler, interval sampler, runtime sanitizer, test hooks — is a
+    subscriber on one list. Each event goes to every subscriber, in
+    subscription order. Subscribers are passive: they may read the machine
+    and its subsystems but must not mutate them, with the one sanctioned
+    exception of {!request_stop}.
 
-val set_on_cycle : t -> (now:int -> unit) -> unit
-(** Invoke a callback at the end of every simulated cycle (after the step
-    and barrier/TM resolution) — the interval sampler's hook. The callback
-    may read [stats], [coherence], [network] and [now], but must not
-    mutate the machine. *)
+    {b The fast-forward rule.} Stall fast-forward ({!Config.t.fast_forward})
+    is decided once, when {!run} starts: it is on unless the configuration
+    turns it off, a fault injector is active, or some subscriber declared
+    [~every_cycle:true]. So an [every_cycle] subscriber sees every cycle one
+    at a time — its [Window] events always have [from = upto] and its
+    [Core_cycles] events [k = 1]. Any other subscriber must accept bulk
+    reports: a fast-forward jump arrives as one [Window] spanning it and
+    one [Core_cycles] event per core with [k] equal to its length.
 
-(** One core-cycle (or [k] identical core-cycles) as reported to the causal
-    profiler's blame hook. *)
+    With no subscriber (the default) each of the machine's event sites
+    costs one branch and allocates nothing. *)
+
+(** One core-cycle (or [k] identical core-cycles) of one core. *)
 type blame_event =
   | Blame_busy  (** the core issued a bundle *)
   | Blame_wait of {
       b_wait : wait;
       b_on : int;  (** the peer core the wait resolves to, or -1 *)
     }
+      (** [W_asleep] and [W_halted] are idle cycles; every other wait is a
+          stall counted as {!stall_of_wait} *)
   | Blame_lockstep of { b_kind : Stats.stall_kind }
       (** coupled mode only: the core could issue but the stall bus held it
           for a peer whose dominant stall reason is [b_kind] *)
 
-val set_blame :
-  t -> (core:int -> pc:int -> k:int -> redo:bool -> blame_event -> unit) -> unit
-(** Attach the causal profiler's per-core-cycle classifier. Every simulated
-    core-cycle is reported exactly once — [k] > 1 when a stall fast-forward
-    window credited [k] identical cycles in bulk, so attaching this hook
-    does {e not} disable fast-forward (unlike a tracer). [pc] is the issue
-    pc for {!Blame_busy} and the stuck pc otherwise; [redo] marks serial TM
-    re-execution work. The callback must not mutate the machine. Unset (the
-    default), every report site pays a single branch and allocates
-    nothing. *)
+type event =
+  | Core_cycles of {
+      core : int;
+      pc : int;  (** the issue pc for {!Blame_busy}, the stuck pc otherwise *)
+      k : int;
+      redo : bool;  (** serial TM re-execution work *)
+      what : blame_event;
+    }
+      (** Every simulated core-cycle is reported exactly once, in the
+          machine mode ({!mode}) it was spent in. *)
+  | Window of { from : int; upto : int }
+      (** End of one run-loop iteration, which covered the closed cycle
+          interval [\[from, upto\]]: [from = upto] on an ordinary cycle,
+          [from < upto] across a fast-forward jump. The machine state is
+          the state at the end of cycle [upto]. *)
+  | Traced of Trace.event
+      (** The machine-level trace events with no other form on the bus:
+          mode changes, TM rounds and serial re-execution starts. *)
+  | Access of {
+      core : int;
+      completion : int;
+      kind : Voltron_mem.Coherence.kind;
+      addr : int;
+    }  (** a cache access, after its coherence transition landed *)
+  | Tm_event of Voltron_mem.Tm.event
+  | Net_event of Voltron_net.Operand_network.event
+
+val subscribe : t -> ?every_cycle:bool -> (event -> unit) -> unit
+(** Add a subscriber. Call before {!run}. [every_cycle] (default [false])
+    turns stall fast-forward off for the run (see the rule above). *)
 
 val set_on_window : t -> (from:int -> upto:int -> unit) -> unit
-(** Invoke a callback once per run-loop iteration with the closed cycle
-    interval [\[from, upto\]] that iteration covered — [from = upto] on an
-    ordinary cycle, [from < upto] across a stall fast-forward jump.
-    Attaching it does {e not} disable fast-forward; it is how the interval
-    sampler observes runs it used to force cycle-by-cycle. Runs after
-    {!set_on_cycle}'s callback, same read-only contract. *)
+(** [subscribe] for [Window] events only, without [every_cycle]. *)
 
-val set_sanity_cycle : t -> (now:int -> unit) -> unit
-(** The runtime sanitizer's per-cycle check hook: runs after {!set_on_cycle}'s
-    callback, under the same read-only contract (with the one sanctioned
-    mutation of {!request_stop}). Attaching it disables stall fast-forward
-    for the run, like a tracer — every cycle must be observed. *)
+val set_tracer : t -> Trace.t -> unit
+(** Record the run into a tracer: an [every_cycle] subscriber that renders
+    issues, stalls, sends, receives, spawns, mode changes, TM rounds and
+    serial starts as {!Trace.event}s. *)
 
 val request_stop : t -> unit
 (** Ask the run loop to stop at the end of the current cycle with a
     {!Stopped} outcome carrying the usual structured diagnosis. Callable
-    from any hook or monitor callback; idempotent. *)
+    from any subscriber; idempotent. *)

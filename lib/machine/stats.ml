@@ -131,37 +131,6 @@ let stall_kind_label = function
   | Recv_pred -> "recv-pred"
   | Sync -> "sync"
 
-(* --- Per-region attribution store ----------------------------------------- *)
-
-type region_cell = {
-  mutable rc_busy : int;
-  mutable rc_idle : int;
-  rc_stalls : int array;  (** indexed by [stall_kind_index] *)
-}
-
-type region_acct = {
-  ra_n_regions : int;
-  ra_n_cores : int;
-  ra_cells : region_cell array array array;
-      (** [region][mode (0 coupled, 1 decoupled)][core] *)
-}
-
-let fresh_region_cell () =
-  { rc_busy = 0; rc_idle = 0; rc_stalls = Array.make n_stall_kinds 0 }
-
-let create_region_acct ~n_regions ~n_cores =
-  {
-    ra_n_regions = n_regions;
-    ra_n_cores = n_cores;
-    ra_cells =
-      Array.init n_regions (fun _ ->
-          Array.init 2 (fun _ ->
-              Array.init n_cores (fun _ -> fresh_region_cell ())));
-  }
-
-let region_cell_cycles c =
-  c.rc_busy + c.rc_idle + Array.fold_left ( + ) 0 c.rc_stalls
-
 let avg_stall_fraction t kind =
   if t.cycles = 0 then 0.
   else

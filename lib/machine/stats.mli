@@ -74,33 +74,6 @@ val stall_kind_label : stall_kind -> string
     "recv-data", "recv-pred", "sync") shared by the trace, the watchdog
     and the observability layer. *)
 
-(** {1 Per-region attribution}
-
-    A [region_acct] is a passive store the machine fills when an
-    attribution hook is attached ({!Machine.set_attribution}): every
-    busy/stall/idle cycle of every core is credited to the cell for (the
-    region enclosing that core's pc) x (the machine's execution mode at
-    that cycle). The observability layer builds the pc->region map from
-    the compiler's region extents and renders the per-region Fig. 12-style
-    report. *)
-
-type region_cell = {
-  mutable rc_busy : int;
-  mutable rc_idle : int;
-  rc_stalls : int array;  (** indexed by [stall_kind_index] *)
-}
-
-type region_acct = {
-  ra_n_regions : int;
-  ra_n_cores : int;
-  ra_cells : region_cell array array array;
-      (** [region][mode (0 coupled, 1 decoupled)][core] *)
-}
-
-val create_region_acct : n_regions:int -> n_cores:int -> region_acct
-val region_cell_cycles : region_cell -> int
-(** busy + idle + every stall of that cell. *)
-
 val pp_summary :
   ?coherence:Voltron_mem.Coherence.stats ->
   ?network:Voltron_net.Operand_network.stats ->

@@ -1,8 +1,9 @@
 (** Structured execution traces.
 
-    A tracer attached to a {!Machine} records issue, stall, mode-switch,
-    spawn and transactional events up to a configurable limit (events past
-    the limit are counted but not stored). Post-run, {!report} renders a
+    A tracer attached to a {!Machine} (through {!Machine.set_tracer})
+    records issue, stall, mode-switch, spawn and transactional events up to
+    a configurable limit (events past the limit are counted but not
+    stored). Post-run, {!report} renders a
     cycle timeline and {!hotspots} aggregates issue counts by code label —
     the tool one actually wants when asking "where do the cycles go?". *)
 

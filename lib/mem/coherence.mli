@@ -103,8 +103,8 @@ val stats : t -> core:int -> stats
 val total_stats : t -> stats
 
 val set_monitor : t -> (core:int -> completion:int -> kind -> int -> unit) -> unit
-(** Attach an access monitor (the runtime sanitizer, the causal
-    profiler): called after every {!access}, once the coherence transition
+(** Attach an access monitor (the machine installs one, forwarding onto
+    its observation bus): called after every {!access}, once the coherence transition
     for that access has fully landed — under either backend — with the
     accessing core, the cycle the access completes (the fill time —
     [completion - now] above the L1 hit latency marks a miss-fill edge),

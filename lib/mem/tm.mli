@@ -14,23 +14,24 @@
 
 type t
 
-(** Runtime sanitizer hooks — one narrow callback per TM-visible event,
-    all passive (the sanitizer mirrors buffers and shadow memory from
-    them; it never mutates the TM). [tx] on read/write reports whether the
-    access was inside a transaction (i.e. buffered). Every architectural
-    memory access in the machine goes through {!read}/{!write}, so these
-    two callbacks double as the machine-wide load/store event stream. *)
-type monitor = {
-  m_read : core:int -> addr:int -> value:int -> tx:bool -> unit;
-  m_write : core:int -> addr:int -> value:int -> tx:bool -> unit;
-  m_begin : core:int -> unit;
-  m_commit : core:int -> unit;  (** after the buffer landed in memory *)
-  m_abort : core:int -> unit;  (** after the buffer was discarded *)
-}
+(** TM-visible events, for an external observer (the machine forwards them
+    onto its observation bus). All passive: observers mirror buffers and
+    shadow memory from them, they never mutate the TM. [tx] on read/write
+    reports whether the access was inside a transaction (i.e. buffered).
+    Every architectural memory access in the machine goes through
+    {!read}/{!write}, so those two events double as the machine-wide
+    load/store stream. *)
+type event =
+  | Ev_read of { core : int; addr : int; value : int; tx : bool }
+  | Ev_write of { core : int; addr : int; value : int; tx : bool }
+  | Ev_begin of { core : int }
+  | Ev_commit of { core : int }  (** after the buffer landed in memory *)
+  | Ev_abort of { core : int }  (** after the buffer was discarded *)
 
 val create : Memory.t -> n_cores:int -> t
 
-val set_monitor : t -> monitor -> unit
+val set_monitor : t -> (event -> unit) -> unit
+(** Unset (the default), each event site pays a single branch. *)
 
 val test_leak_next_abort : t -> unit
 (** Arm a one-shot sabotage: the next {!abort} of a transaction with a

@@ -163,11 +163,12 @@ type stats = {
 
 val stats : t -> stats
 
-(** {1 Runtime sanitizer hooks}
+(** {1 Monitor events}
 
     The network announces every enqueue, delivery and latch fill/drain so an
     external model can mirror the protocol and cross-check message
-    conservation, per-channel FIFO order and payload integrity. *)
+    conservation, per-channel FIFO order and payload integrity. The machine
+    installs the one monitor and forwards these onto its observation bus. *)
 
 type event =
   | Ev_send of { ev_src : int; ev_dst : int; ev_seq : int; ev_payload : payload }

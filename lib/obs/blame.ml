@@ -176,39 +176,39 @@ let attach m (compiled : Driver.compiled) =
       hops = Mesh.hops (Net.mesh net);
     }
   in
-  Machine.set_blame m (fun ~core ~pc ~k ~redo ev -> record t ~core ~pc ~k ~redo ev);
-  Net.set_monitor net (fun ev ->
-      match ev with
-      | Net.Ev_deliver { ev_src; ev_dst; ev_payload; ev_sent; ev_seq = _ } ->
-        Vec.push t.dvs.(ev_dst)
-          {
-            dv_cycle = Machine.now m;
-            dv_src = ev_src;
-            dv_sent = ev_sent;
-            dv_start =
-              (match ev_payload with Net.Start _ -> true | Net.Value _ -> false);
-          }
-      | Net.Ev_send _ | Net.Ev_put _ | Net.Ev_get _ -> ());
-  let tm_at core =
-    t.tm.(t.region_of ~core ~pc:(Machine.pc m ~core))
-  in
-  Tm.set_monitor (Machine.tm m)
-    {
-      Tm.m_read = (fun ~core:_ ~addr:_ ~value:_ ~tx:_ -> ());
-      m_write = (fun ~core:_ ~addr:_ ~value:_ ~tx:_ -> ());
-      m_begin = (fun ~core -> let r = tm_at core in r.tr_begins <- r.tr_begins + 1);
-      m_commit =
-        (fun ~core -> let r = tm_at core in r.tr_commits <- r.tr_commits + 1);
-      m_abort = (fun ~core -> let r = tm_at core in r.tr_aborts <- r.tr_aborts + 1);
-    };
+  let tm_at core = t.tm.(t.region_of ~core ~pc:(Machine.pc m ~core)) in
   let lat_l1 = (Coherence.config (Machine.coherence m)).Coherence.lat_l1 in
-  Coherence.set_monitor (Machine.coherence m)
-    (fun ~core ~completion _kind _addr ->
+  Machine.subscribe m (function
+    | Machine.Core_cycles { core; pc; k; redo; what } ->
+      record t ~core ~pc ~k ~redo what
+    | Machine.Net_event
+        (Net.Ev_deliver { ev_src; ev_dst; ev_payload; ev_sent; ev_seq = _ }) ->
+      Vec.push t.dvs.(ev_dst)
+        {
+          dv_cycle = Machine.now m;
+          dv_src = ev_src;
+          dv_sent = ev_sent;
+          dv_start =
+            (match ev_payload with Net.Start _ -> true | Net.Value _ -> false);
+        }
+    | Machine.Tm_event (Tm.Ev_begin { core }) ->
+      let r = tm_at core in
+      r.tr_begins <- r.tr_begins + 1
+    | Machine.Tm_event (Tm.Ev_commit { core }) ->
+      let r = tm_at core in
+      r.tr_commits <- r.tr_commits + 1
+    | Machine.Tm_event (Tm.Ev_abort { core }) ->
+      let r = tm_at core in
+      r.tr_aborts <- r.tr_aborts + 1
+    | Machine.Access { core; completion; _ } ->
       let extra = completion - Machine.now m - lat_l1 in
       if extra > 0 then begin
         t.fill_count.(core) <- t.fill_count.(core) + 1;
         t.fill_cycles.(core) <- t.fill_cycles.(core) + extra
-      end);
+      end
+    | Machine.Window _ | Machine.Traced _ | Machine.Net_event _
+    | Machine.Tm_event (Tm.Ev_read _ | Tm.Ev_write _) ->
+      ());
   t
 
 let n_cores t = t.n_cores

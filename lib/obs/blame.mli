@@ -1,9 +1,8 @@
 (** Wait-for blame recorder — the causal profiler's data-collection half.
 
-    [attach] installs the machine's passive blame hook
-    ({!Voltron_machine.Machine.set_blame}) plus the network, TM and
-    coherence monitors, and records a per-core sequence of {e blame
-    intervals}: every core-cycle of the run classified as compute or as a
+    [attach] subscribes to the machine's observation bus — core-cycle
+    reports plus the network, TM and coherence events — and records a
+    per-core sequence of {e blame intervals}: every core-cycle of the run classified as compute or as a
     wait on a named edge kind, with the blamed peer core where the wait
     names one. Contiguous cycles with identical classification are merged,
     so the record stays compact even for long runs; under stall
@@ -58,10 +57,9 @@ type delivery = {
 type t
 
 val attach : Voltron_machine.Machine.t -> Voltron_compiler.Driver.compiled -> t
-(** Install the blame hook and the network/TM/coherence monitors
-    (displacing any previously attached monitors, e.g. the sanitizer's).
-    Call before {!Voltron_machine.Machine.run}. Recording does not disable
-    stall fast-forward. *)
+(** Subscribe the recorder. Call before {!Voltron_machine.Machine.run}.
+    Recording does not disable stall fast-forward, and composes with every
+    other subscriber (sanitizer, attribution, sampler). *)
 
 val n_cores : t -> int
 

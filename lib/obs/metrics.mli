@@ -89,8 +89,8 @@ val of_stats :
 
 val snapshot : ?label:string -> Voltron_machine.Machine.t -> t
 (** Read every counter of a live (or finished) machine, including
-    per-core cache stats. Safe to call from a {!Voltron_machine.Machine.set_on_cycle}
-    hook. *)
+    per-core cache stats. Safe to call from a
+    {!Voltron_machine.Machine.subscribe} subscriber. *)
 
 val delta : before:t -> after:t -> t
 (** Pointwise [after - before] over every counter ([max_occupancy], a

@@ -1,5 +1,6 @@
 module Stats = Voltron_machine.Stats
 module Machine = Voltron_machine.Machine
+module Config = Voltron_machine.Config
 module Inst = Voltron_isa.Inst
 module Image = Voltron_isa.Image
 module Program = Voltron_isa.Program
@@ -8,10 +9,17 @@ module Select = Voltron_compiler.Select
 module Driver = Voltron_compiler.Driver
 module Table = Voltron_util.Table
 
+(* Core-cycles of one (region, mode) pair, summed over cores. *)
+type cell = {
+  mutable busy : int;
+  mutable idle : int;
+  stalls : int array;  (** indexed by [Stats.stall_kind_index] *)
+}
+
 type t = {
-  names : string array;  (** length [ra_n_regions]; last is ["<other>"] *)
+  names : string array;  (** one per region; last is ["<other>"] *)
   strategies : string array;
-  acct : Stats.region_acct;
+  cells : cell array array;  (** [region][mode (0 coupled, 1 decoupled)] *)
 }
 
 type row = {
@@ -63,60 +71,70 @@ let lookup (compiled : Driver.compiled) =
   in
   (names, strategies, region_of)
 
+let add_stall c kind k =
+  let i = Stats.stall_kind_index kind in
+  c.stalls.(i) <- c.stalls.(i) + k
+
+(* Every core-cycle lands in the cell of the region enclosing its pc, under
+   the mode it was spent in: busy, idle (asleep or halted), or the stall
+   kind the machine counted it as. *)
+let credit t m ~region_of ~core ~pc ~k (what : Machine.blame_event) =
+  let mode_idx = match Machine.mode m with Inst.Coupled -> 0 | Inst.Decoupled -> 1 in
+  let c = t.cells.(region_of ~core ~pc).(mode_idx) in
+  match what with
+  | Machine.Blame_busy -> c.busy <- c.busy + k
+  | Machine.Blame_wait { b_wait = Machine.W_asleep | Machine.W_halted; _ } ->
+    c.idle <- c.idle + k
+  | Machine.Blame_wait { b_wait; _ } -> add_stall c (Machine.stall_of_wait b_wait) k
+  | Machine.Blame_lockstep { b_kind } -> add_stall c b_kind k
+
 let attach m (compiled : Driver.compiled) =
+  if Program.n_cores compiled.Driver.executable <> (Machine.config m).Config.n_cores
+  then invalid_arg "Region_profile.attach: core count mismatch";
   let names, strategies, region_of = lookup compiled in
-  let acct =
-    Stats.create_region_acct ~n_regions:(Array.length names)
-      ~n_cores:(Program.n_cores compiled.Driver.executable)
+  let fresh_cell _ =
+    { busy = 0; idle = 0; stalls = Array.make Stats.n_stall_kinds 0 }
   in
-  Machine.set_attribution m ~region_of acct;
-  { names; strategies; acct }
+  let t =
+    {
+      names;
+      strategies;
+      cells = Array.map (fun _ -> Array.init 2 fresh_cell) names;
+    }
+  in
+  Machine.subscribe m (function
+    | Machine.Core_cycles { core; pc; k; what; _ } ->
+      credit t m ~region_of ~core ~pc ~k what
+    | _ -> ());
+  t
 
-let mode_of_index = function 0 -> Inst.Coupled | _ -> Inst.Decoupled
-
-let row_of_cells t r mode_idx =
-  let cells = t.acct.Stats.ra_cells.(r).(mode_idx) in
-  let stalls = Array.make Stats.n_stall_kinds 0 in
-  let busy = ref 0 and idle = ref 0 in
-  Array.iter
-    (fun (c : Stats.region_cell) ->
-      busy := !busy + c.Stats.rc_busy;
-      idle := !idle + c.Stats.rc_idle;
-      Array.iteri (fun k v -> stalls.(k) <- stalls.(k) + v) c.Stats.rc_stalls)
-    cells;
-  let total = !busy + !idle + Array.fold_left ( + ) 0 stalls in
-  {
-    r_region = t.names.(r);
-    r_strategy = t.strategies.(r);
-    r_mode = mode_of_index mode_idx;
-    r_busy = !busy;
-    r_stalls = stalls;
-    r_idle = !idle;
-    r_cycles = total;
-  }
+let cell_cycles c = c.busy + c.idle + Array.fold_left ( + ) 0 c.stalls
 
 let rows t =
   let out = ref [] in
-  for r = t.acct.Stats.ra_n_regions - 1 downto 0 do
+  for r = Array.length t.cells - 1 downto 0 do
     for mode_idx = 1 downto 0 do
-      let row = row_of_cells t r mode_idx in
-      if row.r_cycles > 0 then out := row :: !out
+      let c = t.cells.(r).(mode_idx) in
+      if cell_cycles c > 0 then
+        out :=
+          {
+            r_region = t.names.(r);
+            r_strategy = t.strategies.(r);
+            r_mode = (if mode_idx = 0 then Inst.Coupled else Inst.Decoupled);
+            r_busy = c.busy;
+            r_stalls = Array.copy c.stalls;
+            r_idle = c.idle;
+            r_cycles = cell_cycles c;
+          }
+          :: !out
     done
   done;
   !out
 
 let total_cycles t =
-  let total = ref 0 in
-  Array.iter
-    (fun modes ->
-      Array.iter
-        (fun cells ->
-          Array.iter
-            (fun c -> total := !total + Stats.region_cell_cycles c)
-            cells)
-        modes)
-    t.acct.Stats.ra_cells;
-  !total
+  Array.fold_left
+    (fun acc modes -> Array.fold_left (fun acc c -> acc + cell_cycles c) acc modes)
+    0 t.cells
 
 let mode_name = Tabulate.mode_name
 

@@ -1,10 +1,11 @@
 (** Per-region cycle attribution (the paper's Fig. 12, per region).
 
     [attach] builds a pc->region map for every core from the compiler's
-    {!Voltron_compiler.Codegen.region_extent}s and installs it into the
-    machine ({!Voltron_machine.Machine.set_attribution}); after the run,
-    every core-cycle of the program sits in exactly one (region, mode)
-    cell — busy, one of the six stall kinds, or idle. Pcs outside every
+    {!Voltron_compiler.Codegen.region_extent}s and subscribes to the
+    machine's core-cycle events; after the run, every core-cycle of the
+    program sits in exactly one (region, mode) cell — busy, one of the six
+    stall kinds, or idle. The subscriber takes fast-forward windows in
+    bulk, so attaching it does not slow the run down to one cycle a step. Pcs outside every
     planned region (spawn/join glue, HALT) land in a catch-all ["<other>"]
     region so the profile's total always equals [n_cores * cycles]. *)
 
@@ -28,10 +29,10 @@ val lookup :
     by region id, catch-all ["<other>"] (strategy ["-"]) last; [region_of]
     maps any (core, pc) to a region id, falling back to the catch-all.
     Shared with the causal profiler's {!Blame}, which needs the same
-    attribution keyed by its own hooks. *)
+    attribution keyed by its own events. *)
 
 val attach : Voltron_machine.Machine.t -> Voltron_compiler.Driver.compiled -> t
-(** Install attribution on a machine created from [compiled.executable].
+(** Subscribe attribution to a machine created from [compiled.executable].
     Call before {!Voltron_machine.Machine.run}. Raises [Invalid_argument]
     on a core-count mismatch. *)
 

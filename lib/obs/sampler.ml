@@ -32,7 +32,7 @@ let sample_of t ~cycle (d : Metrics.t) =
     s_msgs = d.Metrics.net.Metrics.msgs_sent;
   }
 
-(* The window hook sees every cycle exactly once, as closed intervals
+(* The window events cover every cycle exactly once, as closed intervals
    [from, upto] — one cycle wide normally, many across a stall
    fast-forward jump (which is why sampling no longer forces the
    cycle-by-cycle path). A window can therefore cross several sample
@@ -52,7 +52,8 @@ let attach ~every m =
       rev_samples = [];
     }
   in
-  Machine.set_on_window m (fun ~from:_ ~upto ->
+  Machine.subscribe m (function
+    | Machine.Window { upto; _ } ->
       if upto / t.every * t.every > t.last_boundary then begin
         let cur = Metrics.snapshot t.machine in
         let d = Metrics.delta ~before:t.prev ~after:cur in
@@ -75,7 +76,8 @@ let attach ~every m =
           boundary := !boundary + t.every
         done;
         t.prev <- cur
-      end);
+      end
+    | _ -> ());
   t
 
 let samples t = List.rev t.rev_samples

@@ -1,9 +1,9 @@
 (** Interval time-series sampler.
 
-    Hooks {!Voltron_machine.Machine.set_on_window} and, every [every]
-    cycles, records the interval's IPC, occupancy, L1D miss rate, average
-    network latency and message count as a {!Metrics.delta} between
-    consecutive snapshots — "what was the machine doing {e then}", not
+    Subscribes to the machine's window events and, every [every] cycles,
+    records the interval's IPC, occupancy, L1D miss rate, average network
+    latency and message count as a {!Metrics.delta} between consecutive
+    snapshots — "what was the machine doing {e then}", not
     just the end-of-run average.
 
     Sampling is fast-forward-compatible: a window that jumps a long stall
@@ -25,8 +25,7 @@ type sample = {
 type t
 
 val attach : every:int -> Voltron_machine.Machine.t -> t
-(** Install the sampling hook (displacing any previous [set_on_window]
-    callback). Call before {!Voltron_machine.Machine.run}. Raises
+(** Subscribe the sampler. Call before {!Voltron_machine.Machine.run}. Raises
     [Invalid_argument] when [every <= 0]. *)
 
 val samples : t -> sample list

@@ -330,7 +330,7 @@ let on_net_event t = function
    network's live in-flight count. A silently vanished (or conjured)
    message shows up here the very cycle it happens; the delta is reported
    once per change, not once per cycle. *)
-let on_cycle t ~now:_ =
+let on_cycle t =
   let actual = Net.in_flight_count t.net in
   let delta = t.outstanding - actual in
   if delta = 0 then t.last_delta <- 0
@@ -376,18 +376,18 @@ let attach ?(policy = Abort) ?(log = fun _ -> ()) ?(limit = 32) m =
       by_class = Hashtbl.create 8;
     }
   in
-  Coherence.set_monitor hier (fun ~core ~completion:_ kind addr ->
-      on_access t ~core kind addr);
-  Tm.set_monitor (Machine.tm m)
-    {
-      Tm.m_read = (fun ~core ~addr ~value ~tx -> on_read t ~core ~addr ~value ~tx);
-      m_write = (fun ~core ~addr ~value ~tx -> on_write t ~core ~addr ~value ~tx);
-      m_begin = (fun ~core -> on_begin t ~core);
-      m_commit = (fun ~core -> on_commit t ~core);
-      m_abort = (fun ~core -> on_abort t ~core);
-    };
-  Net.set_monitor net (fun ev -> on_net_event t ev);
-  Machine.set_sanity_cycle m (fun ~now -> on_cycle t ~now);
+  Machine.subscribe m ~every_cycle:true (function
+    | Machine.Access { core; kind; addr; _ } -> on_access t ~core kind addr
+    | Machine.Tm_event (Tm.Ev_read { core; addr; value; tx }) ->
+      on_read t ~core ~addr ~value ~tx
+    | Machine.Tm_event (Tm.Ev_write { core; addr; value; tx }) ->
+      on_write t ~core ~addr ~value ~tx
+    | Machine.Tm_event (Tm.Ev_begin { core }) -> on_begin t ~core
+    | Machine.Tm_event (Tm.Ev_commit { core }) -> on_commit t ~core
+    | Machine.Tm_event (Tm.Ev_abort { core }) -> on_abort t ~core
+    | Machine.Net_event ev -> on_net_event t ev
+    | Machine.Window _ -> on_cycle t
+    | Machine.Core_cycles _ | Machine.Traced _ -> ());
   t
 
 let finalize t ~completed =

@@ -1,6 +1,7 @@
 (** Runtime invariant sanitizer: dynamic verification of the coherence
     protocol, the operand network and transactional memory, attached to a
-    live {!Voltron_machine.Machine} through its narrow monitor callbacks.
+    live {!Voltron_machine.Machine} as one subscriber on its observation
+    bus.
 
     The sanitizer mirrors the architectural contract from the event streams
     the memory system, network and TM announce, and cross-checks the
@@ -37,10 +38,11 @@
     recoverable so {!Run.run_resilient} can feed it into the degradation
     ladder.
 
-    Attaching the sanitizer disables stall fast-forward (every cycle must
-    be observed) and costs roughly one mirrored operation per architectural
-    event; unattached, every hook site is a single [None] branch and the
-    simulator's allocation-free fast path is untouched. *)
+    The sanitizer subscribes with [~every_cycle:true], so attaching it
+    disables stall fast-forward (every cycle must be observed); it costs
+    roughly one mirrored operation per architectural event. Other
+    subscribers (blame, attribution, sampler) compose with it on the same
+    machine. *)
 
 module Machine = Voltron_machine.Machine
 
@@ -113,7 +115,9 @@ type t
 
 val attach :
   ?policy:policy -> ?log:(string -> unit) -> ?limit:int -> Machine.t -> t
-(** Wire the sanitizer into a machine created but not yet run. [policy]
+(** Subscribe the sanitizer to a machine created but not yet run. Its
+    per-cycle check runs after the subscribers attached before it, so
+    test hooks that tamper with the machine should subscribe first. [policy]
     defaults to [Abort]; [log] (default: silent) receives each recorded
     violation's rendering as it happens; [limit] (default 32) bounds the
     violations kept and logged — everything past it is still counted. *)

@@ -19,6 +19,12 @@ module Fault = Voltron_fault.Fault
 module Config = Voltron_machine.Config
 module Suite = Voltron_workloads.Suite
 module Frontend = Voltron_lang.Frontend
+module Driver = Voltron_compiler.Driver
+module Json = Voltron_obs.Json
+module Blame = Voltron_obs.Blame
+module Critpath = Voltron_obs.Critpath
+module Region_profile = Voltron_obs.Region_profile
+module Sampler = Voltron_obs.Sampler
 
 (* --- Helpers -------------------------------------------------------------- *)
 
@@ -40,12 +46,14 @@ let check_class name cls r =
 let stopped m =
   match m.Run.outcome with Run.Sanity_stopped _ -> true | _ -> false
 
-(* Arm a one-shot sabotage from the machine's per-cycle hook; returns the
-   cycle it fired on. *)
+(* Arm a one-shot sabotage from a per-cycle subscriber; returns the cycle
+   it fired on. *)
 let arm_once m f =
   let fired = ref (-1) in
-  Machine.set_on_cycle m (fun ~now ->
-      if !fired < 0 && f () then fired := now);
+  Machine.subscribe m ~every_cycle:true (function
+    | Machine.Window { upto = now; _ } ->
+      if !fired < 0 && f () then fired := now
+    | _ -> ());
   fired
 
 (* --- Policies ------------------------------------------------------------- *)
@@ -121,6 +129,83 @@ let test_sanitized_directory_is_invisible () =
   Alcotest.(check bool) "still verified" true sane.Run.verified;
   Alcotest.(check bool) "clean" true (Sanity.clean (report_exn sane))
 
+(* --- Probes compose ------------------------------------------------------- *)
+
+(* The sanitizer, the blame recorder, region attribution and the sampler
+   on one machine must each report exactly what they report alone — no
+   probe may disconnect or perturb another. The sanitizer subscribes
+   first, so a probe attached after it cannot displace its event streams.
+   Alone, blame, attribution and sampling run fast-forwarded; together
+   with the sanitizer they run cycle by cycle, so this also pins their
+   fast-forward invariance. *)
+let probed_run ~sanitize ~blame ~profile ~sample ~name ~strategy
+    (compiled : Driver.compiled) =
+  let m =
+    Machine.create (Config.default ~n_cores:4) compiled.Driver.executable
+  in
+  let san =
+    if sanitize then Some (Sanity.attach ~policy:Sanity.Report m) else None
+  in
+  let b = if blame then Some (Blame.attach m compiled) else None in
+  let rp = if profile then Some (Region_profile.attach m compiled) else None in
+  let sp = if sample then Some (Sampler.attach ~every:500 m) else None in
+  let result = Machine.run m in
+  Alcotest.(check bool) (name ^ " finished") true
+    (result.Machine.outcome = Machine.Finished);
+  let report s =
+    Sanity.finalize s ~completed:true;
+    Sanity.report s
+  in
+  let blame_json b =
+    Json.to_string
+      (Critpath.report_to_json
+         (Critpath.report ~bench:name ~strategy (Critpath.compute b)))
+  in
+  ( Option.map report san,
+    Option.map blame_json b,
+    Option.map Region_profile.rows rp,
+    Option.map Sampler.samples sp )
+
+let test_probes_compose () =
+  List.iter
+    (fun (bench, choice, strategy) ->
+      let p = (Suite.by_name bench).Suite.build ~scale:0.2 () in
+      let compiled =
+        Driver.compile ~machine:(Config.default ~n_cores:4) ~choice p
+      in
+      let name = bench ^ "/" ^ strategy in
+      let run ~sanitize ~blame ~profile ~sample =
+        probed_run ~sanitize ~blame ~profile ~sample ~name ~strategy compiled
+      in
+      let san, blame, rows, samples =
+        run ~sanitize:true ~blame:true ~profile:true ~sample:true
+      in
+      let alone_san, _, _, _ =
+        run ~sanitize:true ~blame:false ~profile:false ~sample:false
+      in
+      let _, alone_blame, _, _ =
+        run ~sanitize:false ~blame:true ~profile:false ~sample:false
+      in
+      let _, _, alone_rows, _ =
+        run ~sanitize:false ~blame:false ~profile:true ~sample:false
+      in
+      let _, _, _, alone_samples =
+        run ~sanitize:false ~blame:false ~profile:false ~sample:true
+      in
+      let clean r = Option.fold ~none:false ~some:Sanity.clean r in
+      Alcotest.(check bool) (name ^ ": sanitizer clean alone") true
+        (clean alone_san);
+      Alcotest.(check string)
+        (name ^ ": sanitizer clean beside the other probes")
+        "sanitizer (report): clean"
+        (Option.fold ~none:"none" ~some:Sanity.report_to_string san);
+      Alcotest.(check (option string)) (name ^ ": blame report") alone_blame
+        blame;
+      Alcotest.(check bool) (name ^ ": region rows") true (alone_rows = rows);
+      Alcotest.(check bool) (name ^ ": samples") true
+        (alone_samples = samples))
+    [ ("cjpeg", `Hybrid, "hybrid"); ("164.gzip", `Tlp, "tlp") ]
+
 (* --- Detection: coherence ------------------------------------------------- *)
 
 (* An injected directory-protocol bug — one invalidation round silently
@@ -168,9 +253,11 @@ let test_detects_dropped_message () =
   let drop_cycle = ref (-1) in
   let prepare _ m =
     drop_cycle := -1;
-    Machine.set_on_cycle m (fun ~now ->
+    Machine.subscribe m ~every_cycle:true (function
+      | Machine.Window { upto = now; _ } ->
         if !drop_cycle < 0 && Net.test_drop (Machine.network m) then
-          drop_cycle := now)
+          drop_cycle := now
+      | _ -> ())
   in
   let m = Run.run ~choice:`Tlp ~prepare ~sanitize:Sanity.Abort ~n_cores:2 p in
   let r = report_exn m in
@@ -334,6 +421,8 @@ let () =
             test_sanitized_run_is_invisible;
           Alcotest.test_case "invisible on the directory backend" `Quick
             test_sanitized_directory_is_invisible;
+          Alcotest.test_case "probes compose on one machine" `Quick
+            test_probes_compose;
         ] );
       ( "detection",
         [

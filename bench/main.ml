@@ -284,6 +284,27 @@ type perf_row = { pw_bench : string; pw_cycles : int; pw_host_s : float }
 
 let host_cores () = Domain.recommended_domain_count ()
 
+(* The measured tree's commit: [git rev-parse --short HEAD], suffixed
+   "-dirty" when tracked files differ from it or git cannot tell (the
+   entry then measures uncommitted changes on top of that commit), or
+   "unknown" outside a git checkout. *)
+let git_commit () =
+  let output cmd =
+    match Unix.open_process_in cmd with
+    | exception Unix.Unix_error _ -> None
+    | ic -> (
+      let out = String.trim (In_channel.input_all ic) in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> Some out
+      | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> None)
+  in
+  match output "git rev-parse --short HEAD 2>/dev/null" with
+  | None | Some "" -> "unknown"
+  | Some hash -> (
+    match output "git status --porcelain --untracked-files=no 2>/dev/null" with
+    | Some "" -> hash
+    | Some _ | None -> hash ^ "-dirty")
+
 let read_json_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -301,7 +322,7 @@ let read_json_file path =
    inside the cell), so its cycles_per_sec is not comparable to the
    serial entry — the interesting trend is this entry against its own
    history and against the jobs=1 run of the same cell shape. *)
-let run_parallel_sweep ~scale ~machine ~jobs () =
+let run_parallel_sweep ~scale ~machine ~jobs ~commit () =
   let cell (b : Suite.benchmark) =
     let p = b.Suite.build ~scale () in
     let compiled = Driver.compile ~machine ~choice:`Hybrid ~check:false p in
@@ -330,6 +351,7 @@ let run_parallel_sweep ~scale ~machine ~jobs () =
       ("n_cores", Json.Int 4);
       ("jobs", Json.Int jobs);
       ("host_cores", Json.Int (host_cores ()));
+      ("commit", Json.Str commit);
       ("includes_compile", Json.Bool true);
       ("total_cycles", Json.Int total);
       ("total_host_s", Json.Float host);
@@ -339,7 +361,7 @@ let run_parallel_sweep ~scale ~machine ~jobs () =
 (* Fuzz-campaign throughput, jobs=1 vs -j N over the same cell set: the
    ratio is the pool's real-world win (the acceptance metric from
    DESIGN.md 15 — about linear up to the physical core count). *)
-let run_fuzz_throughput ~jobs () =
+let run_fuzz_throughput ~jobs ~commit () =
   let count = 32 and seed = 7 in
   let time j =
     let t0 = Unix.gettimeofday () in
@@ -362,6 +384,7 @@ let run_fuzz_throughput ~jobs () =
       ("mode", Json.Str "fuzz");
       ("jobs", Json.Int jobs);
       ("host_cores", Json.Int (host_cores ()));
+      ("commit", Json.Str commit);
       ("programs", Json.Int count);
       ("simulations", Json.Int runs);
       ("serial_host_s", Json.Float serial_s);
@@ -372,6 +395,7 @@ let run_fuzz_throughput ~jobs () =
 
 let run_perf ~scale ~baseline ~jobs () =
   let machine = Config.default ~n_cores:4 in
+  let commit = git_commit () in
   Printf.printf
     "perf: 4-core hybrid sweep over %d workloads (scale %.2f, fast_forward %b)\n%!"
     (List.length Suite.all) scale machine.Config.fast_forward;
@@ -412,6 +436,7 @@ let run_perf ~scale ~baseline ~jobs () =
         ("n_cores", Json.Int 4);
         ("jobs", Json.Int 1);
         ("host_cores", Json.Int (host_cores ()));
+        ("commit", Json.Str commit);
         ("fast_forward", Json.Bool machine.Config.fast_forward);
         ("total_cycles", Json.Int total_cycles);
         ("total_host_s", Json.Float total_host);
@@ -431,8 +456,8 @@ let run_perf ~scale ~baseline ~jobs () =
                rows) );
       ]
   in
-  let par_entry = run_parallel_sweep ~scale ~machine ~jobs () in
-  let fuzz_entry = run_fuzz_throughput ~jobs () in
+  let par_entry = run_parallel_sweep ~scale ~machine ~jobs ~commit () in
+  let fuzz_entry = run_fuzz_throughput ~jobs ~commit () in
   let entries = [ entry; par_entry; fuzz_entry ] in
   let prior =
     if Sys.file_exists "PERF.json" then

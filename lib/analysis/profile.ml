@@ -58,8 +58,8 @@ let collect ?(cache = Voltron_mem.Coherence.default_config) ?max_steps
     let s = site_stat t sid in
     s.accesses <- s.accesses + 1;
     let line = addr / cache.line_words in
-    match Cache.find l1 line with
-    | Some _ -> Cache.touch l1 line
+    match Cache.access l1 line with
+    | Some _ -> ()
     | None ->
       s.misses <- s.misses + 1;
       ignore (Cache.insert l1 line Cache.E)

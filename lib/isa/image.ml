@@ -143,6 +143,8 @@ let decoded t addr =
     invalid_arg (Printf.sprintf "Image.decoded: address %d out of [0,%d)" addr (Array.length t.decoded));
   t.decoded.(addr)
 
+let decoded_table t = t.decoded
+
 let enclosing_label t addr =
   if addr < 0 || addr >= Array.length t.owner_label then "<entry>"
   else t.owner_label.(addr)

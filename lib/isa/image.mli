@@ -52,6 +52,11 @@ val decoded : t -> int -> decoded
 (** The predecoded form of the bundle at that address. Raises
     [Invalid_argument] outside [0, length). *)
 
+val decoded_table : t -> decoded array
+(** Every address's predecoded form, indexed by address: the image's own
+    array, for per-cycle consumers that index it directly instead of
+    calling {!decoded}. Read-only — never mutate it. *)
+
 val enclosing_label : t -> int -> string
 (** Nearest label at or before the address (alphabetically first when
     several share it), ["<entry>"] when none — precomputed, O(1). *)

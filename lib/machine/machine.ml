@@ -100,6 +100,7 @@ type producer = P_load | P_recv_data | P_recv_pred | P_getb | P_other
 type core_state = {
   id : int;
   image : Image.t;
+  code : Image.decoded array;  (** [Image.decoded_table image], read-only *)
   mutable pc : int;
   mutable status : status;
   mutable regs : int array;
@@ -164,10 +165,35 @@ type t = {
 
 let initial_regs = 64
 
+(* Per-cycle code keeps off tiny cross-module calls and polymorphic
+   primitives: libraries are compiled [-opaque] in the default profile, so
+   a call into another module is never inlined, and polymorphic
+   [max]/[min]/[=] run the runtime's generic comparison even on ints.
+   Hence these int-specialised helpers, status matches instead of [=], and
+   [decoded_at] instead of [Image.decoded]. *)
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
+let is_running cs =
+  match cs.status with
+  | Running -> true
+  | Asleep | Halted | At_barrier _ | At_commit | Wait_serial | Stuck _ -> false
+
+(* The predecoded bundle at [pc] of [cs]'s image, with [Image.decoded]'s
+   range check and message. *)
+let decoded_at cs pc =
+  let code = cs.code in
+  if pc < 0 || pc >= Array.length code then
+    invalid_arg
+      (Printf.sprintf "Image.decoded: address %d out of [0,%d)" pc
+         (Array.length code));
+  code.(pc)
+
 let fresh_core cfg image id =
   {
     id;
     image;
+    code = Image.decoded_table image;
     pc = 0;
     status = (if id = 0 then Running else Asleep);
     regs = Array.make initial_regs 0;
@@ -290,7 +316,7 @@ let trace t ev = if observed t then emit t (Traced ev)
 let ensure_reg cs r =
   let n = Array.length cs.regs in
   if r >= n then begin
-    let n' = max (r + 1) (2 * n) in
+    let n' = imax (r + 1) (2 * n) in
     let grow a fill =
       let a' = Array.make n' fill in
       Array.blit a 0 a' 0 n;
@@ -319,12 +345,14 @@ let reg t ~core r = read_reg t.cores.(core) r
 
 (* --- Stall analysis ------------------------------------------------------ *)
 
-let producer_stall = function
-  | P_load -> Stats.D_stall
-  | P_recv_data -> Stats.Recv_data
-  | P_recv_pred -> Stats.Recv_pred
-  | P_getb -> Stats.Sync
-  | P_other -> Stats.Lat_stall
+(* The blocker's scoreboard verdict per producer: literal constants, so a
+   stalled operand allocates nothing. *)
+let producer_wait = function
+  | P_load -> Some (W_reg Stats.D_stall)
+  | P_recv_data -> Some (W_reg Stats.Recv_data)
+  | P_recv_pred -> Some (W_reg Stats.Recv_pred)
+  | P_getb -> Some (W_reg Stats.Sync)
+  | P_other -> Some (W_reg Stats.Lat_stall)
 
 let stall_of_wait = function
   | W_reg k -> k
@@ -398,7 +426,7 @@ let stall_status t cs k =
    events, and only the machine-level rest travels as [Traced]. *)
 let trace_event t = function
   | Core_cycles { core; pc; what = Blame_busy; _ } ->
-    let ops = (Image.decoded t.prog.images.(core) pc).Image.d_real_ops in
+    let ops = (decoded_at t.cores.(core) pc).Image.d_real_ops in
     Some (Trace.Issue { cycle = t.now; core; pc; ops })
   | Core_cycles { what = Blame_wait { b_wait = W_asleep | W_halted; _ }; _ } ->
     None
@@ -488,7 +516,7 @@ let rec blocker_reg_loop t cs now (u : int array) j =
     let r = u.(j) in
     if cs.ready.(r) > now then begin
       t.wake <- cs.ready.(r);
-      Some (W_reg (producer_stall cs.prod.(r)))
+      producer_wait cs.prod.(r)
     end
     else blocker_reg_loop t cs now u (j + 1)
 
@@ -518,7 +546,7 @@ let blocker t cs =
     Some W_ifetch
   end
   else begin
-    let d = Image.decoded cs.image cs.pc in
+    let d = decoded_at cs cs.pc in
     if d.Image.d_max_reg >= 0 then ensure_reg cs d.Image.d_max_reg;
     blocker_op_loop t cs now d.Image.d_ops d.Image.d_uses
       (Array.length d.Image.d_ops) 0
@@ -594,30 +622,30 @@ let exec_comm_out t cs op =
     invalid_arg "exec_comm_out: not a communication-out op"
 
 (* Phase 2: everything else. Returns the branch target when the bundle's
-   branch is taken. *)
-let exec_main t cs op : int option =
+   branch is taken, -1 otherwise. *)
+let exec_main t cs op =
   let now = t.now in
   let lat = Config.latency op in
   match op with
   | Inst.Alu { op = a; dst; src1; src2 } ->
     write_reg cs dst (Semantics.alu a (read_operand cs src1) (read_operand cs src2)) ~ready:(now + lat)
       ~prod:P_other;
-    None
+    -1
   | Inst.Fpu { op = f; dst; src1; src2 } ->
     write_reg cs dst (Semantics.fpu f (read_operand cs src1) (read_operand cs src2)) ~ready:(now + lat)
       ~prod:P_other;
-    None
+    -1
   | Inst.Cmp { op = c; dst; src1; src2 } ->
     write_reg cs dst (Semantics.cmp c (read_operand cs src1) (read_operand cs src2)) ~ready:(now + lat)
       ~prod:P_other;
-    None
+    -1
   | Inst.Select { dst; pred; if_true; if_false } ->
     let v = if Semantics.truthy (read_operand cs pred) then read_operand cs if_true else read_operand cs if_false in
     write_reg cs dst v ~ready:(now + lat) ~prod:P_other;
-    None
+    -1
   | Inst.Mov { dst; src } ->
     write_reg cs dst (read_operand cs src) ~ready:(now + lat) ~prod:P_other;
-    None
+    -1
   | Inst.Load { dst; base; offset } ->
     let addr = read_operand cs base + read_operand cs offset in
     let ecc_before = match t.ecc with Some e -> Ecc.corrected e | None -> 0 in
@@ -631,23 +659,23 @@ let exec_main t cs op : int option =
         completion + t.cfg.fault.Fault.ecc_penalty
       | Some _ | None -> completion
     in
-    cs.mem_busy <- max cs.mem_busy completion;
+    cs.mem_busy <- imax cs.mem_busy completion;
     if completion > now + t.cfg.cache.Coherence.lat_l1 then
-      cs.miss_stall_until <- max cs.miss_stall_until completion;
-    write_reg cs dst v ~ready:(max (now + lat) completion) ~prod:P_load;
-    None
+      cs.miss_stall_until <- imax cs.miss_stall_until completion;
+    write_reg cs dst v ~ready:(imax (now + lat) completion) ~prod:P_load;
+    -1
   | Inst.Store { base; offset; src } ->
     let addr = read_operand cs base + read_operand cs offset in
     Tm.write t.tm ~core:cs.id addr (read_operand cs src);
     let completion = Coherence.access t.hier ~now ~core:cs.id Coherence.Dstore addr in
-    cs.mem_busy <- max cs.mem_busy completion;
+    cs.mem_busy <- imax cs.mem_busy completion;
     if completion > now + t.cfg.cache.Coherence.lat_l1 then
-      cs.miss_stall_until <- max cs.miss_stall_until completion;
-    None
+      cs.miss_stall_until <- imax cs.miss_stall_until completion;
+    -1
   | Inst.Pbr { btr; target } ->
     cs.btrs.(btr) <- Image.resolve cs.image target;
     cs.btr_ready.(btr) <- now + lat;
-    None
+    -1
   | Inst.Br { btr; pred; invert } ->
     let taken =
       match pred with
@@ -656,24 +684,24 @@ let exec_main t cs op : int option =
         let v = Semantics.truthy (read_operand cs p) in
         if invert then not v else v
     in
-    if taken then Some cs.btrs.(btr) else None
+    if taken then cs.btrs.(btr) else -1
   | Inst.Getb { dst } -> (
     match Net.getb t.net ~now ~core:cs.id with
     | Some v ->
       write_reg cs dst v ~ready:(now + lat) ~prod:P_getb;
-      None
+      -1
     | None -> failwith (Printf.sprintf "core %d cycle %d: GETB on empty broadcast" cs.id now))
   | Inst.Get { dir; dst } -> (
     match Net.get t.net ~now ~core:cs.id dir with
     | Some v ->
       write_reg cs dst v ~ready:(now + lat) ~prod:P_other;
-      None
+      -1
     | None ->
       (* No paired PUT: the lock-step contract is broken (compiler or
          program bug). Wedge the core so the watchdog reports a structured
          diagnosis naming it, instead of tearing the simulator down. *)
       cs.status <- Stuck (W_get_latch dir);
-      None)
+      -1)
   | Inst.Recv { sender; dst; kind } -> (
     match Net.recv t.net ~now ~core:cs.id ~sender with
     | Some v ->
@@ -684,28 +712,28 @@ let exec_main t cs op : int option =
         | Inst.Rv_sync -> P_other
       in
       write_reg cs dst v ~ready:(now + lat) ~prod;
-      None
+      -1
     | None -> failwith (Printf.sprintf "core %d cycle %d: RECV raced its readiness check" cs.id now))
   | Inst.Sleep ->
     cs.status <- Asleep;
-    None
+    -1
   | Inst.Mode_switch m ->
     cs.status <- At_barrier m;
-    None
+    -1
   | Inst.Tm_begin ->
     if not cs.tm_serial then begin
       Tm.tx_begin t.tm ~core:cs.id;
       cs.tm_snapshot <- Some (Array.copy cs.regs, cs.pc)
     end;
-    None
+    -1
   | Inst.Tm_commit ->
     if cs.tm_serial then cs.tm_serial <- false (* serial chunk done *)
     else cs.status <- At_commit;
-    None
+    -1
   | Inst.Halt ->
     cs.status <- Halted;
-    None
-  | Inst.Nop -> None
+    -1
+  | Inst.Nop -> -1
   | Inst.Put _ | Inst.Bcast _ | Inst.Send _ | Inst.Spawn _ ->
     invalid_arg "exec_main: communication-out op in phase 2"
 
@@ -722,15 +750,15 @@ let finish_issue t cs (d : Image.decoded) =
      work to the causal profiler. *)
   let was_redo = cs.tm_serial in
   let ops = d.Image.d_ops in
-  let target = ref None in
+  let target = ref (-1) in
   for i = 0 to Array.length ops - 1 do
-    if not d.Image.d_comm_out.(i) then
-      match exec_main t cs ops.(i) with
-      | Some _ as tgt -> target := tgt
-      | None -> ()
+    if not d.Image.d_comm_out.(i) then begin
+      let tgt = exec_main t cs ops.(i) in
+      if tgt >= 0 then target := tgt
+    end
   done;
-  let target = !target in
-  let core_st = Stats.core t.st cs.id in
+  let next = if !target >= 0 then !target else cs.pc + 1 in
+  let core_st = t.st.Stats.per_core.(cs.id) in
   core_st.busy <- core_st.busy + 1;
   core_st.bundles <- core_st.bundles + 1;
   if observed t then report t cs ~pc:issued_pc ~k:1 ~redo:was_redo Blame_busy;
@@ -741,7 +769,7 @@ let finish_issue t cs (d : Image.decoded) =
   t.last_progress <- t.now;
   match cs.status with
   | Running ->
-    cs.pc <- (match target with Some tgt -> tgt | None -> cs.pc + 1);
+    cs.pc <- next;
     initiate_fetch t cs
   | Asleep | Halted -> ()
   | Stuck _ ->
@@ -750,17 +778,22 @@ let finish_issue t cs (d : Image.decoded) =
   | At_barrier _ | At_commit | Wait_serial ->
     (* Resume point: past this bundle (barrier ops never co-issue with a
        taken branch in generated code, but honour one if present). *)
-    cs.pc <- (match target with Some tgt -> tgt | None -> cs.pc + 1)
+    cs.pc <- next
 
 (* --- Per-cycle stepping --------------------------------------------------- *)
 
 let record_idles t cs k =
-  let core_st = Stats.core t.st cs.id in
+  let core_st = t.st.Stats.per_core.(cs.id) in
   core_st.idle <- core_st.idle + k;
   if observed t then
     (* A just-woken core (status already Running in [try_wake]) spent the
        cycle asleep waiting for its START — report it as such. *)
-    let b_wait = if cs.status = Halted then W_halted else W_asleep in
+    let b_wait =
+      match cs.status with
+      | Halted -> W_halted
+      | Running | Asleep | At_barrier _ | At_commit | Wait_serial | Stuck _ ->
+        W_asleep
+    in
     report t cs ~pc:cs.pc ~k ~redo:false (Blame_wait { b_wait; b_on = -1 })
 
 let record_idle t cs = record_idles t cs 1
@@ -792,8 +825,8 @@ let try_wake t cs =
    always (a currently-failing condition cannot expire in the past), so
    the window is never empty. *)
 let window_end t ~min_wake =
-  min (min_wake - 1)
-    (min t.cfg.Config.max_cycles (t.last_progress + t.cfg.Config.watchdog + 1))
+  imin (min_wake - 1)
+    (imin t.cfg.Config.max_cycles (t.last_progress + t.cfg.Config.watchdog + 1))
 
 (* Credit [k] cycles of the frozen configuration captured in [sc_wait]:
    exactly what [k] repetitions of the per-cycle sweep would record. *)
@@ -813,7 +846,7 @@ let bulk_credit t k =
 (* Issue one decoupled core's bundle: snapshot, phase 1 (communication
    out), phase 2. *)
 let issue_decoupled t cs =
-  let d = Image.decoded cs.image cs.pc in
+  let d = decoded_at cs cs.pc in
   snapshot_sources cs d;
   if d.Image.d_has_comm_out then begin
     let ops = d.Image.d_ops in
@@ -964,7 +997,7 @@ let coupled_step t =
     in
     for i = 0 to n - 1 do
       let cs = cores.(i) in
-      if cs.status = Running then
+      if is_running cs then
         match t.sc_wait.(i) with
         | Some w -> stall_on t cs w 1
         | None ->
@@ -980,15 +1013,14 @@ let coupled_step t =
     (* Phase 0: snapshot every issuing core's sources before any effects. *)
     for i = 0 to n - 1 do
       let cs = cores.(i) in
-      if cs.status = Running then
-        snapshot_sources cs (Image.decoded cs.image cs.pc)
+      if is_running cs then snapshot_sources cs (decoded_at cs cs.pc)
     done;
     (* Phase 1: communication-out for all cores, so same-cycle PUT/GET and
        BCAST pairing works regardless of core order. *)
     for i = 0 to n - 1 do
       let cs = cores.(i) in
-      if cs.status = Running then begin
-        let d = Image.decoded cs.image cs.pc in
+      if is_running cs then begin
+        let d = decoded_at cs cs.pc in
         if d.Image.d_has_comm_out then begin
           let ops = d.Image.d_ops in
           for j = 0 to Array.length ops - 1 do
@@ -1000,8 +1032,7 @@ let coupled_step t =
     (* Phase 2. *)
     for i = 0 to n - 1 do
       let cs = cores.(i) in
-      if cs.status = Running then
-        finish_issue t cs (Image.decoded cs.image cs.pc)
+      if is_running cs then finish_issue t cs (decoded_at cs cs.pc)
     done
   end;
   (* Cores already waiting at the exit barrier count sync stalls. Only
@@ -1029,24 +1060,24 @@ let inject_faults t =
     end;
     Array.iter
       (fun cs ->
-        if cs.status = Running && Fault.roll_stall f then
+        if is_running cs && Fault.roll_stall f then
           cs.stall_until <-
-            max cs.stall_until (t.now + t.cfg.fault.Fault.stall_cycles))
+            imax cs.stall_until (t.now + t.cfg.fault.Fault.stall_cycles))
       t.cores
 
 (* --- End-of-cycle resolution ---------------------------------------------- *)
 
+(* The end-of-cycle checks below run every cycle: they scan the cores with
+   toplevel recursions, which unlike local ones build no closure. *)
+let rec all_at_barrier cores i =
+  i >= Array.length cores
+  ||
+  match cores.(i).status with
+  | At_barrier _ -> all_at_barrier cores (i + 1)
+  | Running | Asleep | Halted | At_commit | Wait_serial | Stuck _ -> false
+
 let resolve_mode_barrier t =
-  (* Checked every cycle: scan without materialising a status array. *)
-  let n = Array.length t.cores in
-  let rec all_at_barrier i =
-    i >= n
-    ||
-    match t.cores.(i).status with
-    | At_barrier _ -> all_at_barrier (i + 1)
-    | Running | Asleep | Halted | At_commit | Wait_serial | Stuck _ -> false
-  in
-  if all_at_barrier 0 then begin
+  if all_at_barrier t.cores 0 then begin
     let target =
       match t.cores.(0).status with
       | At_barrier m -> m
@@ -1109,15 +1140,17 @@ let release_committed t committed =
    can never commit before chunk i, even if its core raced ahead, so the
    codegen contract is that every DOALL round runs one (possibly empty)
    chunk on every core. *)
+let rec all_at_commit t c =
+  c >= Array.length t.cores
+  ||
+  match t.cores.(c).status with
+  | At_commit -> Tm.in_tx t.tm ~core:c && all_at_commit t (c + 1)
+  | Running | Asleep | Halted | At_barrier _ | Wait_serial | Stuck _ -> false
+
 let resolve_tm_round t =
-  (* Checked every cycle: test readiness without building the participant
-     list; it is only materialised once a round actually resolves. *)
-  let n = t.cfg.Config.n_cores in
-  let rec ready c =
-    c >= n
-    || (t.cores.(c).status = At_commit && Tm.in_tx t.tm ~core:c && ready (c + 1))
-  in
-  if ready 0 then begin
+  (* Test readiness without building the participant list; it is only
+     materialised once a round actually resolves. *)
+  if all_at_commit t 0 then begin
     let participants = List.init t.cfg.n_cores (fun c -> c) in
     t.st.tm_rounds <- t.st.tm_rounds + 1;
     t.last_progress <- t.now;
@@ -1169,7 +1202,12 @@ let resolve_serial_queue t =
     let cs = t.cores.(head) in
     (* The head finished its serial re-execution when its Tm_commit cleared
        the serial flag. *)
-    if (not cs.tm_serial) && cs.status <> Wait_serial then begin
+    let waiting =
+      match cs.status with
+      | Wait_serial -> true
+      | Running | Asleep | Halted | At_barrier _ | At_commit | Stuck _ -> false
+    in
+    if (not cs.tm_serial) && not waiting then begin
       t.serial_queue <- rest;
       match rest with
       | [] -> ()
@@ -1181,12 +1219,18 @@ let resolve_serial_queue t =
         t.last_progress <- t.now
     end
 
+let rec all_parked cores i =
+  i >= Array.length cores
+  ||
+  match cores.(i).status with
+  | Halted | Asleep -> all_parked cores (i + 1)
+  | Running | At_barrier _ | At_commit | Wait_serial | Stuck _ -> false
+
 let finished t =
-  t.cores.(0).status = Halted
-  && Array.for_all
-       (fun cs -> match cs.status with Halted | Asleep -> true | _ -> false)
-       t.cores
-  && Net.idle t.net
+  (match t.cores.(0).status with
+  | Halted -> true
+  | Running | Asleep | At_barrier _ | At_commit | Wait_serial | Stuck _ -> false)
+  && all_parked t.cores 1 && Net.idle t.net
 
 (* --- Structured watchdog diagnosis ---------------------------------------- *)
 
@@ -1320,7 +1364,7 @@ let run t =
   t.ff_active <-
     t.cfg.Config.fast_forward && Option.is_none t.inj && not t.every_cycle;
   let outcome = ref None in
-  while !outcome = None do
+  while match !outcome with None -> true | Some _ -> false do
     t.now <- t.now + 1;
     if t.now > t.cfg.max_cycles then outcome := Some Out_of_cycles
     else begin

@@ -1,21 +1,43 @@
 type state = M | O | E | S | I
 
-(* Each set is a small array of ways plus a recency stamp per way: the LRU
-   order is "descending age", a promote is one store, and victim selection
-   is a linear min scan — O(ways) worst case instead of the O(ways^2)
-   list-splice representation this replaces, with the identical order
-   (ages are all distinct: initial stamps are strictly decreasing by way
-   index, replicating the original way-0-first order, and every promote
-   uses a fresh tick). *)
-type way = { mutable line : int; mutable state : state }
+(* Two flat int arrays, one slot per (set, way) at [set * ways + way]:
 
-type set = {
-  ways_arr : way array;
-  age : int array;  (** recency stamp per way; larger = more recent *)
-  mutable tick : int;  (** last stamp handed out *)
+   - [tags.(s)] packs [line lsl 3 lor code], where [code] is the state's
+     non-zero code below; 0 means the way is invalid.
+   - [age.(s)] is the way's LRU stamp; larger is more recent.
+
+   Stamps come from one cache-wide counter [tick]. Within a set they are
+   distinct and rise strictly with recency — the initial stamps decrease
+   by way index (way 0 most recent) and every promote takes a fresh stamp
+   larger than any in the cache — so "minimum age" names the same victim
+   a per-set counter would, and the whole cache is three heap blocks
+   however many sets it has. *)
+type t = {
+  n_sets : int;
+  n_ways : int;
+  tags : int array;
+  age : int array;
+  mutable tick : int;
 }
 
-type t = { n_sets : int; n_ways : int; sets_arr : set array }
+let code = function I -> 0 | M -> 1 | O -> 2 | E -> 3 | S -> 4
+
+let state_of_code = function
+  | 1 -> M
+  | 2 -> O
+  | 3 -> E
+  | 4 -> S
+  | _ -> I
+
+(* A valid tag's state as [find]'s result: one shared [Some] per state,
+   so a probe allocates nothing. *)
+let some_m = Some M
+let some_o = Some O
+let some_e = Some E
+let some_s = Some S
+
+let some_state tag =
+  match tag land 7 with 1 -> some_m | 2 -> some_o | 3 -> some_e | _ -> some_s
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -25,90 +47,89 @@ let create ~sets ~ways =
   {
     n_sets = sets;
     n_ways = ways;
-    sets_arr =
-      Array.init sets (fun _ ->
-          {
-            ways_arr = Array.init ways (fun _ -> { line = -1; state = I });
-            age = Array.init ways (fun i -> ways - 1 - i);
-            tick = ways - 1;
-          });
+    tags = Array.make (sets * ways) 0;
+    age = Array.init (sets * ways) (fun s -> ways - 1 - (s mod ways));
+    tick = ways - 1;
   }
 
 let sets t = t.n_sets
 let ways t = t.n_ways
 
-let set_of t line = t.sets_arr.(line land (t.n_sets - 1))
+let base t line = (line land (t.n_sets - 1)) * t.n_ways
 
-let find_way set line =
-  let rec loop i =
-    if i >= Array.length set.ways_arr then None
-    else
-      let w = set.ways_arr.(i) in
-      if w.state <> I && w.line = line then Some i else loop (i + 1)
-  in
-  loop 0
+(* Slot of [line] among the valid ways in [s, stop), or -1. *)
+let rec find_slot tags line s stop =
+  if s >= stop then -1
+  else
+    let tag = tags.(s) in
+    if tag land 7 <> 0 && tag asr 3 = line then s
+    else find_slot tags line (s + 1) stop
 
-let promote set i =
-  set.tick <- set.tick + 1;
-  set.age.(i) <- set.tick
+let lookup t line =
+  let b = base t line in
+  find_slot t.tags line b (b + t.n_ways)
+
+(* First invalid slot in [s, stop), or -1. *)
+let rec invalid_slot tags s stop =
+  if s >= stop then -1
+  else if tags.(s) land 7 = 0 then s
+  else invalid_slot tags (s + 1) stop
+
+(* Minimum-age slot in [s, stop), the lowest index on a tie. *)
+let rec lru_slot age best s stop =
+  if s >= stop then best
+  else lru_slot age (if age.(s) < age.(best) then s else best) (s + 1) stop
+
+let promote t s =
+  t.tick <- t.tick + 1;
+  t.age.(s) <- t.tick
 
 let find t line =
-  let set = set_of t line in
-  match find_way set line with
-  | None -> None
-  | Some i -> Some set.ways_arr.(i).state
+  let s = lookup t line in
+  if s < 0 then None else some_state t.tags.(s)
 
-let touch t line =
-  let set = set_of t line in
-  match find_way set line with None -> () | Some i -> promote set i
+let access t line =
+  let s = lookup t line in
+  if s < 0 then None
+  else begin
+    promote t s;
+    some_state t.tags.(s)
+  end
 
 let set_state t line st =
-  let set = set_of t line in
-  match find_way set line with
-  | None -> raise Not_found
-  | Some i -> set.ways_arr.(i).state <- st
+  let s = lookup t line in
+  if s < 0 then raise Not_found;
+  t.tags.(s) <- (line lsl 3) lor code st
 
 let insert t line st =
-  let set = set_of t line in
-  (match find_way set line with
-  | Some _ -> invalid_arg "Cache.insert: line already present"
-  | None -> ());
+  let b = base t line in
+  let stop = b + t.n_ways in
+  if find_slot t.tags line b stop >= 0 then
+    invalid_arg "Cache.insert: line already present";
   (* Prefer an invalid way; otherwise evict the minimum-age (LRU) way. *)
-  let victim_way =
-    let n = Array.length set.ways_arr in
-    let rec invalid_loop i =
-      if i >= n then None
-      else if set.ways_arr.(i).state = I then Some i
-      else invalid_loop (i + 1)
-    in
-    match invalid_loop 0 with
-    | Some i -> i
-    | None ->
-      let best = ref 0 in
-      for i = 1 to n - 1 do
-        if set.age.(i) < set.age.(!best) then best := i
-      done;
-      !best
+  let s =
+    let inv = invalid_slot t.tags b stop in
+    if inv >= 0 then inv else lru_slot t.age b (b + 1) stop
   in
-  let w = set.ways_arr.(victim_way) in
-  let victim = if w.state = I then None else Some (w.line, w.state) in
-  w.line <- line;
-  w.state <- st;
-  promote set victim_way;
+  let old = t.tags.(s) in
+  let victim =
+    if old land 7 = 0 then None else Some (old asr 3, state_of_code (old land 7))
+  in
+  t.tags.(s) <- (line lsl 3) lor code st;
+  promote t s;
   victim
 
 let invalidate t line =
-  let set = set_of t line in
-  match find_way set line with
-  | None -> ()
-  | Some i -> set.ways_arr.(i).state <- I
+  let s = lookup t line in
+  if s >= 0 then t.tags.(s) <- 0
 
 let valid_lines t =
-  Array.to_list t.sets_arr
-  |> List.concat_map (fun set ->
-         Array.to_list set.ways_arr
-         |> List.filter_map (fun w ->
-                if w.state = I then None else Some (w.line, w.state)))
+  let acc = ref [] in
+  for s = Array.length t.tags - 1 downto 0 do
+    let tag = t.tags.(s) in
+    if tag land 7 <> 0 then acc := (tag asr 3, state_of_code (tag land 7)) :: !acc
+  done;
+  !acc
 
 let pp_state ppf st =
   Format.pp_print_string ppf

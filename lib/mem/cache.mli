@@ -18,8 +18,9 @@ val find : t -> int -> state option
 (** [find t line] is the line's state if present and valid (not [I]);
     does not touch LRU. *)
 
-val touch : t -> int -> unit
-(** Mark [line] most-recently used. No-op if absent. *)
+val access : t -> int -> state option
+(** [find], and on a hit also mark the line most-recently used: a use of
+    the line as the simulated cache sees it. *)
 
 val set_state : t -> int -> state -> unit
 (** Change a present line's state. Raises [Not_found] if absent. [I]

@@ -223,6 +223,13 @@ let acquire_bus t ~now ~core =
   t.bus_free <- start + t.cfg.bus_occupancy;
   start
 
+(* A written-back line's data returns to L2: make sure its tag is there,
+   as most recently used. *)
+let l2_keep t line =
+  match Cache.access t.l2 line with
+  | None -> ignore (Cache.insert t.l2 line Cache.S)
+  | Some _ -> ()
+
 (* Fill a line into [cache], writing back a dirty victim to L2 (and keeping
    L2 inclusive enough for timing purposes). *)
 let fill t ~core cache line st =
@@ -232,16 +239,14 @@ let fill t ~core cache line st =
     if vstate = Cache.M || vstate = Cache.O then begin
       t.per_core.(core).writebacks <- t.per_core.(core).writebacks + 1;
       t.bus_free <- t.bus_free + t.cfg.bus_occupancy;
-      (* Victim's data returns to L2: ensure its tag is present. *)
-      if Cache.find t.l2 victim = None then ignore (Cache.insert t.l2 victim Cache.S)
-      else Cache.touch t.l2 victim
+      l2_keep t victim
     end
 
 (* Ensure the line is present in L2 (timing inclusion); L2 evictions of
    dirty lines cost bus occupancy. *)
 let l2_fill t line =
-  match Cache.find t.l2 line with
-  | Some _ -> Cache.touch t.l2 line
+  match Cache.access t.l2 line with
+  | Some _ -> ()
   | None -> (
     match Cache.insert t.l2 line Cache.S with
     | None -> ()
@@ -249,17 +254,18 @@ let l2_fill t line =
       if vstate = Cache.M || vstate = Cache.O then
         t.bus_free <- t.bus_free + t.cfg.bus_occupancy)
 
-(* Snoop every other core's L1D for [line]; returns the supplier (a core
-   holding the line M/O/E) if any, and whether anyone at all holds it. *)
+(* Snoop every other core's L1D for [line]: whether some core holds it
+   M/O/E (and can supply it cache-to-cache), and whether anyone at all
+   holds it. *)
 let snoop t ~core line =
-  let supplier = ref None in
+  let supplier = ref false in
   let sharer = ref false in
   for c = 0 to t.n_cores - 1 do
     if c <> core then
       match Cache.find t.l1d.(c) line with
       | Some (Cache.M | Cache.O | Cache.E) ->
         sharer := true;
-        if !supplier = None then supplier := Some c
+        supplier := true
       | Some Cache.S -> sharer := true
       | Some Cache.I | None -> ()
   done;
@@ -287,13 +293,11 @@ let access_data t ~now ~core ~write addr =
   st.accesses <- st.accesses + 1;
   let line = dline t addr in
   let l1 = t.l1d.(core) in
-  let hit_state = Cache.find l1 line in
-  match hit_state with
-  | Some _ when not write ->
-    Cache.touch l1 line;
-    now + t.cfg.lat_l1
+  (* A hit is marked most recently used at once: the upgrade path below
+     touches only other cores' caches before it completes. *)
+  match Cache.access l1 line with
+  | Some _ when not write -> now + t.cfg.lat_l1
   | Some (Cache.M | Cache.E) ->
-    Cache.touch l1 line;
     Cache.set_state l1 line Cache.M;
     now + t.cfg.lat_l1
   | Some (Cache.O | Cache.S) ->
@@ -302,7 +306,6 @@ let access_data t ~now ~core ~write addr =
     st.upgrades <- st.upgrades + 1;
     let start = acquire_bus t ~now ~core in
     invalidate_remotes t ~core line;
-    Cache.touch l1 line;
     Cache.set_state l1 line Cache.M;
     start + t.cfg.lat_upgrade
   | Some Cache.I | None ->
@@ -312,19 +315,17 @@ let access_data t ~now ~core ~write addr =
     let start = acquire_bus t ~now ~core in
     let supplier, sharer = snoop t ~core line in
     let duration =
-      match supplier with
-      | Some _ ->
+      if supplier then begin
         st.c2c_transfers <- st.c2c_transfers + 1;
         t.cfg.lat_c2c
-      | None -> (
-        match Cache.find t.l2 line with
-        | Some _ ->
-          Cache.touch t.l2 line;
-          t.cfg.lat_l2
+      end
+      else
+        match Cache.access t.l2 line with
+        | Some _ -> t.cfg.lat_l2
         | None ->
           st.l2_misses <- st.l2_misses + 1;
           l2_fill t line;
-          t.cfg.lat_mem)
+          t.cfg.lat_mem
     in
     let my_state =
       if write then begin
@@ -343,18 +344,14 @@ let access_inst t ~now ~core addr =
   let st = t.per_core.(core) in
   let line = iline t core addr in
   let l1 = t.l1i.(core) in
-  match Cache.find l1 line with
-  | Some _ ->
-    Cache.touch l1 line;
-    now + t.cfg.lat_l1
+  match Cache.access l1 line with
+  | Some _ -> now + t.cfg.lat_l1
   | None ->
     st.l1i_misses <- st.l1i_misses + 1;
     let start = acquire_bus t ~now ~core in
     let duration =
-      match Cache.find t.l2 line with
-      | Some _ ->
-        Cache.touch t.l2 line;
-        t.cfg.lat_l2
+      match Cache.access t.l2 line with
+      | Some _ -> t.cfg.lat_l2
       | None ->
         st.l2_misses <- st.l2_misses + 1;
         l2_fill t line;
@@ -400,8 +397,8 @@ let dir_forget t ~core line =
 (* L2 inclusion for the directory backend: a dirty L2 victim occupies its
    own home bank for the writeback instead of the (nonexistent) bus. *)
 let dir_l2_fill t line =
-  match Cache.find t.l2 line with
-  | Some _ -> Cache.touch t.l2 line
+  match Cache.access t.l2 line with
+  | Some _ -> ()
   | None -> (
     match Cache.insert t.l2 line Cache.S with
     | None -> ()
@@ -421,8 +418,7 @@ let dir_fill t ~core line st =
       t.per_core.(core).writebacks <- t.per_core.(core).writebacks + 1;
       let h = home_of t victim in
       t.home_free.(h) <- t.home_free.(h) + t.cfg.dir_occupancy;
-      if Cache.find t.l2 victim = None then ignore (Cache.insert t.l2 victim Cache.S)
-      else Cache.touch t.l2 victim
+      l2_keep t victim
     end
 
 (* Invalidate every remote sharer listed in [e]; returns whether any
@@ -458,10 +454,8 @@ let dir_invalidate_sharers t ~core e line =
 (* Fetch a line from L2/memory at the home (no cached owner). *)
 let dir_fetch t ~core line =
   let st = t.per_core.(core) in
-  match Cache.find t.l2 line with
-  | Some _ ->
-    Cache.touch t.l2 line;
-    t.cfg.lat_l2
+  match Cache.access t.l2 line with
+  | Some _ -> t.cfg.lat_l2
   | None ->
     st.l2_misses <- st.l2_misses + 1;
     dir_l2_fill t line;
@@ -472,12 +466,9 @@ let dir_access_data t ~now ~core ~write addr =
   st.accesses <- st.accesses + 1;
   let line = dline t addr in
   let l1 = t.l1d.(core) in
-  match Cache.find l1 line with
-  | Some _ when not write ->
-    Cache.touch l1 line;
-    now + t.cfg.lat_l1
+  match Cache.access l1 line with
+  | Some _ when not write -> now + t.cfg.lat_l1
   | Some (Cache.M | Cache.E) ->
-    Cache.touch l1 line;
     Cache.set_state l1 line Cache.M;
     now + t.cfg.lat_l1
   | Some (Cache.O | Cache.S) ->
@@ -492,7 +483,6 @@ let dir_access_data t ~now ~core ~write addr =
     let had_remote = dir_invalidate_sharers t ~core e line in
     e.owner <- core;
     Bitset.add e.sharers core;
-    Cache.touch l1 line;
     Cache.set_state l1 line Cache.M;
     start + t.cfg.dir_lat_msg + t.cfg.dir_lat_lookup
     + (if had_remote then t.cfg.dir_lat_inv else 0)
@@ -539,9 +529,7 @@ let dir_access_data t ~now ~core ~write addr =
             | Some Cache.M ->
               t.per_core.(remote_owner).writebacks <-
                 t.per_core.(remote_owner).writebacks + 1;
-              if Cache.find t.l2 line = None then
-                ignore (Cache.insert t.l2 line Cache.S)
-              else Cache.touch t.l2 line
+              l2_keep t line
             | _ -> ());
             Cache.set_state t.l1d.(remote_owner) line Cache.S;
             e.owner <- -1;
@@ -567,18 +555,14 @@ let dir_access_inst t ~now ~core addr =
   let st = t.per_core.(core) in
   let line = iline t core addr in
   let l1 = t.l1i.(core) in
-  match Cache.find l1 line with
-  | Some _ ->
-    Cache.touch l1 line;
-    now + t.cfg.lat_l1
+  match Cache.access l1 line with
+  | Some _ -> now + t.cfg.lat_l1
   | None ->
     st.l1i_misses <- st.l1i_misses + 1;
     let start = acquire_home t ~now ~core (home_of t line) in
     let duration =
-      match Cache.find t.l2 line with
-      | Some _ ->
-        Cache.touch t.l2 line;
-        t.cfg.lat_l2
+      match Cache.access t.l2 line with
+      | Some _ -> t.cfg.lat_l2
       | None ->
         st.l2_misses <- st.l2_misses + 1;
         dir_l2_fill t line;

@@ -71,6 +71,8 @@ type t = {
   mutable next_seq : int;
   net_stats : stats;
   faults : Fault.t option;
+  (* Each event site matches on this before it builds its event record, so
+     a detached network allocates none. *)
   mutable monitor : (event -> unit) option;
 }
 
@@ -140,8 +142,6 @@ let stats t = t.net_stats
 
 let set_monitor t f = t.monitor <- Some f
 
-let emit t ev = match t.monitor with None -> () | Some f -> f ev
-
 let in_flight_count t = t.count
 
 let latency t ~src ~dst = t.hop_lat.((src * t.n) + dst)
@@ -158,7 +158,9 @@ let put t ~now ~src_core dir value =
       latch.filled <- true;
       latch.value <- value;
       latch.time <- now;
-      emit t (Ev_put { ev_src = src_core; ev_dst = dst; ev_dir = dir });
+      (match t.monitor with
+      | None -> ()
+      | Some f -> f (Ev_put { ev_src = src_core; ev_dst = dst; ev_dir = dir }));
       Ok ()
     end
 
@@ -175,7 +177,9 @@ let get t ~now ~core dir =
            "get: core %d read a stale direct-mode latch (put at %d, get at %d)"
            core latch.time now);
     latch.filled <- false;
-    emit t (Ev_get { ev_core = core; ev_dir = dir });
+    (match t.monitor with
+    | None -> ()
+    | Some f -> f (Ev_get { ev_core = core; ev_dir = dir }));
     Some latch.value
   end
 
@@ -282,8 +286,10 @@ let enqueue t ~now ~src ~dst payload =
   s.msgs_sent <- s.msgs_sent + 1;
   s.total_latency <- s.total_latency + 2 + lat;
   s.max_occupancy <- Int.max s.max_occupancy t.count;
-  emit t
-    (Ev_send { ev_src = src; ev_dst = dst; ev_seq = msg.seq; ev_payload = payload });
+  (match t.monitor with
+  | None -> ()
+  | Some f ->
+    f (Ev_send { ev_src = src; ev_dst = dst; ev_seq = msg.seq; ev_payload = payload }));
   msg
 
 let send t ~now ~src ~dst payload =
@@ -347,10 +353,13 @@ let pop t i =
 
 let deliver t i =
   let m = pop t i in
-  emit t
-    (Ev_deliver
-       { ev_src = m.msg_src; ev_dst = m.msg_dst; ev_seq = m.seq;
-         ev_payload = m.msg_payload; ev_sent = m.msg_sent });
+  (match t.monitor with
+  | None -> ()
+  | Some f ->
+    f
+      (Ev_deliver
+         { ev_src = m.msg_src; ev_dst = m.msg_dst; ev_seq = m.seq;
+           ev_payload = m.msg_payload; ev_sent = m.msg_sent }));
   m.msg_payload
 
 let recv_ready t ~now ~core ~sender =

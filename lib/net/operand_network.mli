@@ -187,7 +187,8 @@ type event =
 
 val set_monitor : t -> (event -> unit) -> unit
 (** Passive: the callback must not mutate the network. Unset (the default),
-    the hot path pays a single branch per event site. *)
+    the hot path pays a single branch per event site and builds no event
+    record. *)
 
 val in_flight_count : t -> int
 (** Messages currently in flight — the conservation figure the sanitizer

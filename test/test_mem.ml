@@ -49,7 +49,7 @@ let test_cache_lru_eviction () =
   let c = Cache.create ~sets:1 ~ways:2 in
   ignore (Cache.insert c 0 Cache.S);
   ignore (Cache.insert c 1 Cache.S);
-  Cache.touch c 0 (* 1 becomes LRU *);
+  ignore (Cache.access c 0) (* 1 becomes LRU *);
   let victim = Cache.insert c 2 Cache.M in
   Alcotest.(check bool) "evicted LRU line 1" true (victim = Some (1, Cache.S));
   Alcotest.(check bool) "0 still present" true (Cache.find c 0 <> None)
@@ -60,6 +60,155 @@ let test_cache_invalidate () =
   Cache.invalidate c 4;
   Alcotest.(check bool) "gone" true (Cache.find c 4 = None);
   Cache.invalidate c 4 (* idempotent *)
+
+(* Reference model for the cache: per set, its ways as an array of
+   [(line, state) option] and the recency order as a plain list of way
+   indices, most recent first (way 0 first at creation, matching the
+   cache's way-0-first order). An insert takes the lowest-indexed invalid
+   way, else the list's last way; invalidation keeps a way's recency
+   position, as the cache keeps its age stamp. *)
+type ref_set = {
+  slots : (int * Cache.state) option array;
+  mutable mru : int list;
+}
+
+let ref_create ~sets ~ways =
+  Array.init sets (fun _ ->
+      { slots = Array.make ways None; mru = List.init ways Fun.id })
+
+let ref_set m line = m.(line land (Array.length m - 1))
+
+let ref_way s line =
+  let rec go i =
+    if i >= Array.length s.slots then None
+    else
+      match s.slots.(i) with
+      | Some (l, _) when l = line -> Some i
+      | Some _ | None -> go (i + 1)
+  in
+  go 0
+
+let ref_promote s w = s.mru <- w :: List.filter (fun x -> x <> w) s.mru
+
+let ref_find m line =
+  let s = ref_set m line in
+  Option.map (fun w -> snd (Option.get s.slots.(w))) (ref_way s line)
+
+let ref_insert m line st =
+  let s = ref_set m line in
+  let rec first_invalid i =
+    if i >= Array.length s.slots then None
+    else if s.slots.(i) = None then Some i
+    else first_invalid (i + 1)
+  in
+  let w =
+    match first_invalid 0 with
+    | Some i -> i
+    | None -> List.nth s.mru (List.length s.mru - 1)
+  in
+  let victim = s.slots.(w) in
+  s.slots.(w) <- Some (line, st);
+  ref_promote s w;
+  victim
+
+let ref_valid_lines m =
+  Array.to_list m
+  |> List.concat_map (fun s -> List.filter_map Fun.id (Array.to_list s.slots))
+
+type cache_op =
+  | Op_insert of int * Cache.state
+  | Op_set_state of int * Cache.state
+  | Op_invalidate of int
+  | Op_find of int
+  | Op_access of int
+
+let pp_cache_op = function
+  | Op_insert (l, st) -> Format.asprintf "insert %#x %a" l Cache.pp_state st
+  | Op_set_state (l, st) -> Format.asprintf "set_state %#x %a" l Cache.pp_state st
+  | Op_invalidate l -> Printf.sprintf "invalidate %#x" l
+  | Op_find l -> Printf.sprintf "find %#x" l
+  | Op_access l -> Printf.sprintf "access %#x" l
+
+(* Lines from a pool about twice the cache's capacity, so sets fill,
+   evict and re-hit; half of them are instruction-space lines (bit 40
+   set, as [Coherence] builds them), which must index and tag like any
+   other. *)
+let cache_case =
+  let open QCheck.Gen in
+  let* sets, ways = oneofl [ (1, 1); (1, 2); (4, 2); (64, 2); (16, 4) ] in
+  let line =
+    map2
+      (fun l inst -> if inst then (1 lsl 40) lor l else l)
+      (int_bound ((2 * sets * ways) + 1))
+      bool
+  in
+  let valid_state = oneofl Cache.[ M; O; E; S ] in
+  let op =
+    frequency
+      [
+        (4, map2 (fun l st -> Op_insert (l, st)) line valid_state);
+        ( 2,
+          map2 (fun l st -> Op_set_state (l, st)) line
+            (oneofl Cache.[ M; O; E; S; I ]) );
+        (1, map (fun l -> Op_invalidate l) line);
+        (3, map (fun l -> Op_find l) line);
+        (3, map (fun l -> Op_access l) line);
+      ]
+  in
+  let+ ops = list_size (int_range 1 300) op in
+  ((sets, ways), ops)
+
+let print_cache_case ((sets, ways), ops) =
+  Printf.sprintf "%d sets x %d ways: %s" sets ways
+    (String.concat "; " (List.map pp_cache_op ops))
+
+(* Every operation's result (find/access state, evicted victim, the
+   already-present / absent exceptions) and the full [valid_lines] listing
+   after it must match the model. *)
+let test_cache_model =
+  QCheck.Test.make ~name:"flat layout matches a list LRU model" ~count:300
+    (QCheck.make ~print:print_cache_case cache_case)
+    (fun ((sets, ways), ops) ->
+      let c = Cache.create ~sets ~ways in
+      let m = ref_create ~sets ~ways in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Op_insert (l, st) -> (
+              match ref_find m l with
+              | Some _ -> (
+                try
+                  ignore (Cache.insert c l st);
+                  false
+                with Invalid_argument _ -> true)
+              | None -> Cache.insert c l st = ref_insert m l st)
+            | Op_set_state (l, st) -> (
+              let s = ref_set m l in
+              match ref_way s l with
+              | None -> (
+                try
+                  Cache.set_state c l st;
+                  false
+                with Not_found -> true)
+              | Some w ->
+                Cache.set_state c l st;
+                s.slots.(w) <- (if st = Cache.I then None else Some (l, st));
+                true)
+            | Op_invalidate l ->
+              Cache.invalidate c l;
+              let s = ref_set m l in
+              Option.iter (fun w -> s.slots.(w) <- None) (ref_way s l);
+              true
+            | Op_find l -> Cache.find c l = ref_find m l
+            | Op_access l ->
+              let expected = ref_find m l in
+              let s = ref_set m l in
+              Option.iter (ref_promote s) (ref_way s l);
+              Cache.access c l = expected
+          in
+          same && Cache.valid_lines c = ref_valid_lines m)
+        ops)
 
 (* --- Coherence ---------------------------------------------------------------- *)
 
@@ -371,6 +520,7 @@ let () =
           Alcotest.test_case "insert/find" `Quick test_cache_insert_find;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
+          QCheck_alcotest.to_alcotest test_cache_model;
         ] );
       ( "coherence",
         [

@@ -105,14 +105,17 @@ let test_differential_mesh16 () =
         [ (`Hybrid, "hybrid"); (`Tlp, "tlp") ])
     [ "164.gzip"; "179.art"; "183.equake"; "256.bzip2"; "epic" ]
 
-(* Per-cycle minor-heap budget, in words. The sweep's residual allocations
-   are small and bounded (a [Some wait] per blocked core-cycle, a [Some
-   target] per taken branch, a [Some state] per cache probe, TM read/write
-   set entries per transactional access); measured ~36 on this workload,
-   and the budget is set with ~2x headroom so a regression that
-   reintroduces per-cycle closures, lists or hashtables (tens to hundreds
-   of words each) fails loudly while normal drift does not. *)
-let alloc_budget_words_per_cycle = 80.0
+(* Per-cycle minor-heap budget, in words. The caches are flat int arrays,
+   the blocker's scoreboard verdicts and the taken-branch target allocate
+   nothing, and the end-of-cycle checks build no closure, so what still
+   allocates is small and bounded: a [W_recv] verdict per core-cycle
+   blocked on a RECV, a [Net.recv]/[Net.get] result per operand received,
+   a victim pair per eviction of a valid line, and TM read/write set
+   entries per transactional access. Measured ~8 on this workload; the
+   budget leaves ~2.5x headroom so a regression that reintroduces per-cycle
+   closures, option results or per-way records fails loudly while normal
+   drift does not. *)
+let alloc_budget_words_per_cycle = 20.0
 
 let test_allocation_budget () =
   let b = Suite.by_name "gsmencode" in
@@ -136,6 +139,29 @@ let test_allocation_budget () =
     true
     (per_cycle <= alloc_budget_words_per_cycle)
 
+(* Minor-heap words one [Machine.create] may allocate for the default
+   8-core configuration. Each cache is three heap blocks (the L2's large
+   arrays go straight to the major heap), so what remains is the L1
+   tag/age arrays, the register files, the network and TM state and the
+   per-core records: measured ~12,600. A cache model that goes back to a
+   heap record per way costs ~61,000 and fails this. *)
+let create_budget_words = 25_000.0
+
+let test_create_budget () =
+  let b = Suite.by_name "gsmencode" in
+  let program = b.Suite.build ~scale:0.2 () in
+  let machine = Config.default ~n_cores:8 in
+  let compiled = Driver.compile ~machine ~choice:`Hybrid ~check:false program in
+  let exe = compiled.Driver.executable in
+  let before = Gc.minor_words () in
+  let m = Machine.create machine exe in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity m);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words within %.0f" words create_budget_words)
+    true
+    (words <= create_budget_words)
+
 let () =
   Alcotest.run "perf"
     [
@@ -146,5 +172,8 @@ let () =
             test_differential_mesh16;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "per-cycle budget" `Quick test_allocation_budget ] );
+        [
+          Alcotest.test_case "per-cycle budget" `Quick test_allocation_budget;
+          Alcotest.test_case "Machine.create budget" `Quick test_create_budget;
+        ] );
     ]

@@ -238,8 +238,9 @@ let no_profile_arg =
         ~doc:
           "Select strategies from the abstract interpreter's synthesised \
            profile (static trip counts, footprint/stride miss model, \
-           conservative cross-iteration dependences) instead of a \
-           profiling run — no program execution before codegen.")
+           conservative cross-iteration dependences) instead of the \
+           dynamic profile. A compile still runs the program once, for \
+           the oracle checksum and eBUG's likely-missing loads.")
 
 let profile_for ~no_profile p =
   if no_profile then Some (Voltron_analysis.Profile.of_static p) else None

@@ -1,110 +1,139 @@
 module Cache = Voltron_mem.Cache
+module Hir = Voltron_ir.Hir
+module Interp = Voltron_ir.Interp
 
-type loop_stat = {
-  mutable entered : int;
-  mutable total_trips : int;
-}
-
-type site_stat = {
-  mutable accesses : int;
-  mutable misses : int;
-}
-
-(* One active loop instance on the interpreter's loop stack. *)
-type active = {
-  a_sid : int;
-  mutable a_iter : int;
-  last_write : (int, int) Hashtbl.t;  (** address -> iteration that wrote it *)
-}
-
+(* Every fact is an array indexed by statement site id; a sid the program
+   does not use (or never executed) reads as zero. *)
 type t = {
-  loops : (int, loop_stat) Hashtbl.t;
-  cross_raw : (int, unit) Hashtbl.t;
-  sites : (int, site_stat) Hashtbl.t;
-  dyn : (int, int) Hashtbl.t;
+  entered : int array;  (** loop sid -> times entered *)
+  trips : int array;  (** loop sid -> iterations summed over its entries *)
+  cross_raw : bool array;  (** loop sid -> cross-iteration RAW observed *)
+  accesses : int array;  (** memory site -> dynamic accesses *)
+  misses : int array;  (** memory site -> profiling-cache misses *)
+  dyn : int array;  (** any site -> dynamic executions *)
   mutable total : int;
 }
 
-let loop_stat t sid =
-  match Hashtbl.find_opt t.loops sid with
-  | Some s -> s
-  | None ->
-    let s = { entered = 0; total_trips = 0 } in
-    Hashtbl.replace t.loops sid s;
-    s
+(* Sids are dense from 0 in built programs, but shrinking and the optimiser
+   leave gaps, so size the tables by the largest sid present. *)
+let sid_bound (p : Hir.program) =
+  let m = ref (-1) in
+  List.iter
+    (fun (r : Hir.region) ->
+      Hir.iter_stmts (fun (s : Hir.stmt) -> m := max !m s.Hir.sid) r.Hir.stmts)
+    p.Hir.regions;
+  !m + 1
 
-let site_stat t sid =
-  match Hashtbl.find_opt t.sites sid with
-  | Some s -> s
-  | None ->
-    let s = { accesses = 0; misses = 0 } in
-    Hashtbl.replace t.sites sid s;
-    s
+let create n =
+  {
+    entered = Array.make n 0;
+    trips = Array.make n 0;
+    cross_raw = Array.make n false;
+    accesses = Array.make n 0;
+    misses = Array.make n 0;
+    dyn = Array.make n 0;
+    total = 0;
+  }
 
-let collect ?(cache = Voltron_mem.Coherence.default_config) ?max_steps
-    (p : Voltron_ir.Hir.program) =
-  let t =
+(* The interpreter's loop stack, innermost loop at [depth - 1]. One
+   counter stamps every loop entry and every iteration, so all of a loop
+   instance's iteration stamps exceed its entry stamp and every stamp of
+   an earlier instance is below it. [last_write.(d)] maps an address to
+   the stamp of the depth-[d] iteration that last stored there: a load
+   sees a cross-iteration RAW at depth [d] when that stamp is above the
+   instance's entry stamp (written in this instance) and is not the
+   current iteration's. Re-entering a loop therefore clears nothing, and
+   one flat array per depth, allocated when the depth is first reached,
+   serves every loop instance at that depth. *)
+type stack = {
+  mutable depth : int;
+  mutable sids : int array;
+  mutable entry : int array;
+  mutable iter : int array;
+  mutable last_write : int array array;
+  mutable clock : int;
+  mem_words : int;
+}
+
+let push s sid =
+  let d = s.depth in
+  if d = Array.length s.sids then begin
+    let grow a fill = Array.append a (Array.make (Array.length a) fill) in
+    s.sids <- grow s.sids 0;
+    s.entry <- grow s.entry 0;
+    s.iter <- grow s.iter 0;
+    s.last_write <- grow s.last_write [||]
+  end;
+  if Array.length s.last_write.(d) = 0 then
+    s.last_write.(d) <- Array.make s.mem_words 0;
+  s.clock <- s.clock + 1;
+  s.sids.(d) <- sid;
+  s.entry.(d) <- s.clock;
+  s.iter.(d) <- s.clock;
+  s.depth <- d + 1
+
+let collect_run ?(cache = Voltron_mem.Coherence.default_config) ?max_steps
+    (p : Hir.program) =
+  let t = create (sid_bound p) in
+  let l1 = Cache.create ~sets:cache.l1d_sets ~ways:cache.l1d_ways in
+  let line_words = cache.line_words in
+  let s =
     {
-      loops = Hashtbl.create 32;
-      cross_raw = Hashtbl.create 8;
-      sites = Hashtbl.create 64;
-      dyn = Hashtbl.create 128;
-      total = 0;
+      depth = 0;
+      sids = Array.make 8 0;
+      entry = Array.make 8 0;
+      iter = Array.make 8 0;
+      last_write = Array.make 8 [||];
+      clock = 0;
+      mem_words = max 1 (Voltron_ir.Layout.mem_size (Voltron_ir.Layout.compute p));
     }
   in
-  let l1 = Cache.create ~sets:cache.l1d_sets ~ways:cache.l1d_ways in
-  let stack : active list ref = ref [] in
   let touch_cache sid addr =
-    let s = site_stat t sid in
-    s.accesses <- s.accesses + 1;
-    let line = addr / cache.line_words in
+    t.accesses.(sid) <- t.accesses.(sid) + 1;
+    let line = addr / line_words in
     match Cache.access l1 line with
     | Some _ -> ()
     | None ->
-      s.misses <- s.misses + 1;
+      t.misses.(sid) <- t.misses.(sid) + 1;
       ignore (Cache.insert l1 line Cache.E)
   in
   let on_load ~sid ~arr:_ ~addr =
     touch_cache sid addr;
-    List.iter
-      (fun a ->
-        match Hashtbl.find_opt a.last_write addr with
-        | Some w when w <> a.a_iter -> Hashtbl.replace t.cross_raw a.a_sid ()
-        | Some _ | None -> ())
-      !stack
+    for d = 0 to s.depth - 1 do
+      let w = s.last_write.(d).(addr) in
+      if w > s.entry.(d) && w <> s.iter.(d) then t.cross_raw.(s.sids.(d)) <- true
+    done
   in
   let on_store ~sid ~arr:_ ~addr =
     touch_cache sid addr;
-    List.iter (fun a -> Hashtbl.replace a.last_write addr a.a_iter) !stack
+    for d = 0 to s.depth - 1 do
+      s.last_write.(d).(addr) <- s.iter.(d)
+    done
   in
   let events =
     {
-      Voltron_ir.Interp.on_stmt =
-        (fun ~sid ->
-          t.total <- t.total + 1;
-          Hashtbl.replace t.dyn sid
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.dyn sid)));
+      Interp.on_stmt = (fun ~sid -> t.dyn.(sid) <- t.dyn.(sid) + 1);
       on_load;
       on_store;
       on_loop_enter =
         (fun ~sid ->
-          (loop_stat t sid).entered <- (loop_stat t sid).entered + 1;
-          stack := { a_sid = sid; a_iter = 0; last_write = Hashtbl.create 64 } :: !stack);
+          t.entered.(sid) <- t.entered.(sid) + 1;
+          push s sid);
       on_loop_iter =
-        (fun ~sid ~iter ->
-          match !stack with
-          | a :: _ when a.a_sid = sid -> a.a_iter <- iter
-          | _ -> ());
+        (fun ~sid:_ ~iter:_ ->
+          s.clock <- s.clock + 1;
+          s.iter.(s.depth - 1) <- s.clock);
       on_loop_exit =
         (fun ~sid ~trips ->
-          (loop_stat t sid).total_trips <- (loop_stat t sid).total_trips + trips;
-          match !stack with
-          | a :: rest when a.a_sid = sid -> stack := rest
-          | _ -> ());
+          t.trips.(sid) <- t.trips.(sid) + trips;
+          s.depth <- s.depth - 1);
     }
   in
-  let (_ : Voltron_ir.Interp.result) = Voltron_ir.Interp.run ~events ?max_steps p in
-  t
+  let result = Interp.run ~events ?max_steps p in
+  t.total <- Array.fold_left ( + ) 0 t.dyn;
+  (t, result)
+
+let collect ?cache ?max_steps p = fst (collect_run ?cache ?max_steps p)
 
 (* --- Static (profile-free) synthesis ------------------------------------------ *)
 
@@ -119,7 +148,8 @@ let iround x =
    across iterations — affine verdict May_cross/Unknown and the abstract
    index sets not disjoint. Loops the profile would clear dynamically may
    stay flagged (costing parallelism, never correctness). *)
-let static_cross_raw (sum : Absint.summary) cross_raw (p : Voltron_ir.Hir.program) =
+let static_cross_raw (sum : Absint.summary) (cross_raw : bool array)
+    (p : Voltron_ir.Hir.program) =
   let flag_loop loop_sid (loop : Voltron_ir.Hir.for_loop) =
     let var = loop.Voltron_ir.Hir.var in
     let body = loop.Voltron_ir.Hir.body in
@@ -147,7 +177,7 @@ let static_cross_raw (sum : Absint.summary) cross_raw (p : Voltron_ir.Hir.progra
            | _ -> true))
     in
     if List.exists (fun w -> List.exists (may_collide w) !loads) !stores then
-      Hashtbl.replace cross_raw loop_sid ()
+      cross_raw.(loop_sid) <- true
   in
   List.iter
     (fun (r : Voltron_ir.Hir.region) ->
@@ -163,22 +193,12 @@ let static_cross_raw (sum : Absint.summary) cross_raw (p : Voltron_ir.Hir.progra
 let of_static ?(cache = Voltron_mem.Coherence.default_config)
     ?(summary : Absint.summary option) (p : Voltron_ir.Hir.program) =
   let sum = match summary with Some s -> s | None -> Absint.analyze p in
-  let t =
-    {
-      loops = Hashtbl.create 32;
-      cross_raw = Hashtbl.create 8;
-      sites = Hashtbl.create 64;
-      dyn = Hashtbl.create 128;
-      total = 0;
-    }
-  in
+  let t = create (sid_bound p) in
   List.iter
     (fun (li : Absint.loop_info) ->
-      Hashtbl.replace t.loops li.Absint.li_sid
-        {
-          entered = iround li.Absint.li_enters;
-          total_trips = iround (li.Absint.li_enters *. li.Absint.li_trip_est);
-        })
+      t.entered.(li.Absint.li_sid) <- iround li.Absint.li_enters;
+      t.trips.(li.Absint.li_sid) <-
+        iround (li.Absint.li_enters *. li.Absint.li_trip_est))
     (Absint.loops sum);
   static_cross_raw sum t.cross_raw p;
   let l1_words = cache.Voltron_mem.Coherence.l1d_sets
@@ -207,47 +227,38 @@ let of_static ?(cache = Voltron_mem.Coherence.default_config)
             let stride = if Dom.is_bot d || d.Dom.m = 0 then 1 else max 1 d.Dom.m in
             Float.min 1. (float_of_int stride /. line)
         in
-        Hashtbl.replace t.sites s.Absint.s_sid
-          { accesses; misses = iround (rate *. float_of_int accesses) }
+        t.accesses.(s.Absint.s_sid) <- accesses;
+        t.misses.(s.Absint.s_sid) <- iround (rate *. float_of_int accesses)
       end)
     (Absint.sites sum);
-  Hashtbl.iter
-    (fun sid c ->
-      let n = iround c in
-      if n > 0 then begin
-        Hashtbl.replace t.dyn sid n;
-        t.total <- t.total + n
-      end)
-    (let tbl = Hashtbl.create 128 in
-     List.iter
-       (fun (r : Voltron_ir.Hir.region) ->
-         Voltron_ir.Hir.iter_stmts
-           (fun (st : Voltron_ir.Hir.stmt) ->
-             Hashtbl.replace tbl st.Voltron_ir.Hir.sid
-               (Absint.count sum st.Voltron_ir.Hir.sid))
-           r.Voltron_ir.Hir.stmts)
-       p.Voltron_ir.Hir.regions;
-     tbl);
+  List.iter
+    (fun (r : Voltron_ir.Hir.region) ->
+      Voltron_ir.Hir.iter_stmts
+        (fun (st : Voltron_ir.Hir.stmt) ->
+          let n = iround (Absint.count sum st.Voltron_ir.Hir.sid) in
+          t.dyn.(st.Voltron_ir.Hir.sid) <- (if n > 0 then n else 0))
+        r.Voltron_ir.Hir.stmts)
+    p.Voltron_ir.Hir.regions;
+  t.total <- Array.fold_left ( + ) 0 t.dyn;
   t
 
-let instances t sid =
-  match Hashtbl.find_opt t.loops sid with Some s -> s.entered | None -> 0
+let get a sid = if sid >= 0 && sid < Array.length a then a.(sid) else 0
+
+let instances t sid = get t.entered sid
 
 let avg_trip t sid =
-  match Hashtbl.find_opt t.loops sid with
-  | Some s when s.entered > 0 -> float_of_int s.total_trips /. float_of_int s.entered
-  | Some _ | None -> 0.
+  let n = get t.entered sid in
+  if n > 0 then float_of_int t.trips.(sid) /. float_of_int n else 0.
 
-let has_cross_raw t sid = Hashtbl.mem t.cross_raw sid
+let has_cross_raw t sid =
+  sid >= 0 && sid < Array.length t.cross_raw && t.cross_raw.(sid)
 
 let miss_rate t sid =
-  match Hashtbl.find_opt t.sites sid with
-  | Some s when s.accesses > 0 -> float_of_int s.misses /. float_of_int s.accesses
-  | Some _ | None -> 0.
+  let n = get t.accesses sid in
+  if n > 0 then float_of_int t.misses.(sid) /. float_of_int n else 0.
 
-let access_count t sid =
-  match Hashtbl.find_opt t.sites sid with Some s -> s.accesses | None -> 0
+let access_count t sid = get t.accesses sid
 
-let dyn_count t sid = Option.value ~default:0 (Hashtbl.find_opt t.dyn sid)
+let dyn_count t sid = get t.dyn sid
 
 let total_dyn t = t.total

@@ -19,6 +19,15 @@ val collect :
 (** Runs the program once under the interpreter with profiling hooks.
     [max_steps] bounds the run like {!Voltron_ir.Interp.run}'s. *)
 
+val collect_run :
+  ?cache:Voltron_mem.Coherence.config ->
+  ?max_steps:int ->
+  Voltron_ir.Hir.program ->
+  t * Voltron_ir.Interp.result
+(** {!collect}, also returning the interpreter's result: one run yields
+    both the profile and the reference memory image, so a caller that
+    needs the oracle too never interprets the program twice. *)
+
 val of_static :
   ?cache:Voltron_mem.Coherence.config ->
   ?summary:Voltron_absint.Absint.summary ->

@@ -45,7 +45,7 @@ type t = {
   mutable extents : region_extent list;  (** reverse emission order *)
 }
 
-let create machine (program : Hir.program) =
+let create ?profile machine (program : Hir.program) =
   let lay = Layout.compute program in
   let lctx = Lower.make_ctx ~layout:lay ~first_vreg:program.Hir.n_vregs in
   {
@@ -55,7 +55,10 @@ let create machine (program : Hir.program) =
     lctx;
     synth = Synth.create program lctx;
     builders = Array.init machine.Config.n_cores (fun _ -> Image.builder ());
-    profile = lazy (Voltron_analysis.Profile.collect program);
+    profile =
+      (match profile with
+      | Some pr -> Lazy.from_val pr
+      | None -> lazy (Voltron_analysis.Profile.collect program));
     infos = [];
     extents = [];
   }

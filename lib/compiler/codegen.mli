@@ -35,7 +35,15 @@ and doall_plan = {
 
 type t
 
-val create : Voltron_machine.Config.t -> Voltron_ir.Hir.program -> t
+val create :
+  ?profile:Voltron_analysis.Profile.t ->
+  Voltron_machine.Config.t ->
+  Voltron_ir.Hir.program ->
+  t
+(** [profile] is the program's dynamic profile, which eBUG (strands, and
+    DSWP's fallback) reads for its likely-missing loads. Without it the
+    first such region profiles the program itself, with
+    {!Voltron_analysis.Profile.collect}'s defaults. *)
 
 val layout : t -> Voltron_ir.Layout.t
 

@@ -12,19 +12,33 @@ type compiled = {
   check_diags : Check.diag list;
 }
 
+type oracle = {
+  dyn_profile : Voltron_analysis.Profile.t;
+  checksum : int;
+  footprint : int;
+}
+
+let interpret ?max_steps p =
+  let dyn_profile, r = Voltron_analysis.Profile.collect_run ?max_steps p in
+  let footprint = Voltron_ir.Layout.mem_size r.Voltron_ir.Interp.layout in
+  {
+    dyn_profile;
+    checksum = Voltron_mem.Memory.checksum_prefix r.Voltron_ir.Interp.memory footprint;
+    footprint;
+  }
+
 let compile ~machine ?(choice = `Hybrid) ?(check = true) ?(static_profile = false)
-    ?profile ?max_steps (p : Hir.program) =
+    ?profile ?max_steps ?oracle (p : Hir.program) =
+  let oracle = match oracle with Some o -> o | None -> interpret ?max_steps p in
   let profile =
     match profile with
     | Some pr -> pr
     | None when static_profile ->
       Voltron_analysis.Profile.of_static ~cache:machine.Config.cache p
-    | None -> Voltron_analysis.Profile.collect ?max_steps p
+    | None -> oracle.dyn_profile
   in
-  let oracle = Voltron_ir.Interp.run ?max_steps p in
-  let array_footprint = Voltron_ir.Layout.mem_size oracle.Voltron_ir.Interp.layout in
   let plan = Select.plan ~machine ~profile choice p in
-  let cg = Codegen.create machine p in
+  let cg = Codegen.create ~profile:oracle.dyn_profile machine p in
   List.iter
     (fun (pr : Select.planned_region) ->
       Codegen.emit_region cg ~name:pr.Select.pr_name pr.Select.pr_stmts
@@ -45,10 +59,8 @@ let compile ~machine ?(choice = `Hybrid) ?(check = true) ?(static_profile = fals
     executable;
     plan;
     region_extents = Codegen.region_extents cg;
-    oracle_checksum =
-      Voltron_mem.Memory.checksum_prefix oracle.Voltron_ir.Interp.memory
-        array_footprint;
-    array_footprint;
+    oracle_checksum = oracle.checksum;
+    array_footprint = oracle.footprint;
     check_diags;
   }
 

@@ -243,8 +243,11 @@ let divergence_to_string = function
    snoop and directory images are transitively diffed against each other —
    and the per-cycle run against the fast-forward run.
 
-   Each (strategy, cores) cell is a pure value: it compiles its own
-   executable and builds its own machines, so cells run on any domain.
+   The program is interpreted once, before any cell: the oracle (checksum,
+   footprint, dynamic profile) depends on the program alone, and every
+   cell's compile reads it, never writes it. Each (strategy, cores) cell
+   is otherwise a pure value: it compiles its own executable and builds
+   its own machines, so cells run on any domain.
    Results are accumulated by cell index — (cores-major, strategies-minor,
    matching the serial iteration order) — never by completion order, so
    the report is bit-identical for every [jobs] value. *)
@@ -255,6 +258,7 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
     ?(dir_tweak = fun c -> c) ?sanitize ?(jobs = 1) program =
   (if coherence = [] then
      invalid_arg "Run.differential: empty coherence axis");
+  let oracle = Driver.interpret ~max_steps program in
   let cell (d_cores, d_strategy) =
     let runs = ref 0 and warnings = ref 0 and divs = ref [] in
     let push d = divs := d :: !divs in
@@ -283,8 +287,8 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
       { c with Config.max_cycles = min c.Config.max_cycles max_cycles }
     in
     (match
-       Driver.compile ~machine:config ~choice:d_strategy ~check:true
-         ~max_steps program
+       Driver.compile ~machine:config ~choice:d_strategy ~check:true ~oracle
+         program
      with
     | exception Voltron_check.Check.Failed diags ->
       push

@@ -177,7 +177,9 @@ val differential :
   ?jobs:int ->
   Voltron_ir.Hir.program ->
   differential
-(** For every strategy x core count: compile once (static checker on),
+(** Interprets the program once ({!Voltron_compiler.Driver.interpret}),
+    then for every strategy x core count: compile once against that shared
+    oracle (static checker on),
     then for every coherence backend on the [coherence] axis (default
     {!default_coherence} — snoop and directory both), simulate twice —
     stall fast-forward on, then off — and record every contract
@@ -186,7 +188,9 @@ val differential :
     interpreter — which transitively diffs the snoop and directory
     checksums against each other — and each backend must complete within
     the cycle cap with fast-forward-invariant cycles (the cycle-sanity
-    half of the axis). [max_steps] bounds the oracle interpreter and
+    half of the axis). [max_steps] bounds the oracle interpreter (a
+    program that exceeds it raises
+    {!Voltron_ir.Interp.Step_limit_exceeded} before any cell runs) and
     [max_cycles] clamps the simulator cap (both deliberately small so
     runaway shrink candidates fail fast instead of simulating 200M
     cycles); raise them for unusually large programs. [sanitize] attaches

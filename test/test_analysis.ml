@@ -170,6 +170,228 @@ let test_profile_miss_rates () =
     Alcotest.(check bool) "small array mostly hits" true (small_rate < 0.2)
   | _ -> Alcotest.fail "two loads expected"
 
+(* The profiler's first algorithm, kept here as the reference the array
+   profiler must agree with: per-sid hashtables, a list of active loops,
+   and a fresh address -> iteration table for every loop instance. *)
+module Ref_profile = struct
+  type loop_stat = { mutable entered : int; mutable total_trips : int }
+  type site_stat = { mutable accesses : int; mutable misses : int }
+
+  type active = {
+    a_sid : int;
+    mutable a_iter : int;
+    last_write : (int, int) Hashtbl.t;
+  }
+
+  type t = {
+    loops : (int, loop_stat) Hashtbl.t;
+    cross_raw : (int, unit) Hashtbl.t;
+    sites : (int, site_stat) Hashtbl.t;
+    dyn : (int, int) Hashtbl.t;
+    mutable total : int;
+  }
+
+  let stat tbl sid fresh =
+    match Hashtbl.find_opt tbl sid with
+    | Some s -> s
+    | None ->
+      let s = fresh () in
+      Hashtbl.replace tbl sid s;
+      s
+
+  let collect ?max_steps p =
+    let cache = Voltron_mem.Coherence.default_config in
+    let t =
+      {
+        loops = Hashtbl.create 32;
+        cross_raw = Hashtbl.create 8;
+        sites = Hashtbl.create 64;
+        dyn = Hashtbl.create 128;
+        total = 0;
+      }
+    in
+    let l1 =
+      Voltron_mem.Cache.create ~sets:cache.Voltron_mem.Coherence.l1d_sets
+        ~ways:cache.Voltron_mem.Coherence.l1d_ways
+    in
+    let stack = ref [] in
+    let touch sid addr =
+      let s = stat t.sites sid (fun () -> { accesses = 0; misses = 0 }) in
+      s.accesses <- s.accesses + 1;
+      let line = addr / cache.Voltron_mem.Coherence.line_words in
+      match Voltron_mem.Cache.access l1 line with
+      | Some _ -> ()
+      | None ->
+        s.misses <- s.misses + 1;
+        ignore (Voltron_mem.Cache.insert l1 line Voltron_mem.Cache.E)
+    in
+    let loop sid = stat t.loops sid (fun () -> { entered = 0; total_trips = 0 }) in
+    let events =
+      {
+        Voltron_ir.Interp.on_stmt =
+          (fun ~sid ->
+            t.total <- t.total + 1;
+            Hashtbl.replace t.dyn sid
+              (1 + Option.value ~default:0 (Hashtbl.find_opt t.dyn sid)));
+        on_load =
+          (fun ~sid ~arr:_ ~addr ->
+            touch sid addr;
+            List.iter
+              (fun a ->
+                match Hashtbl.find_opt a.last_write addr with
+                | Some w when w <> a.a_iter -> Hashtbl.replace t.cross_raw a.a_sid ()
+                | Some _ | None -> ())
+              !stack);
+        on_store =
+          (fun ~sid ~arr:_ ~addr ->
+            touch sid addr;
+            List.iter (fun a -> Hashtbl.replace a.last_write addr a.a_iter) !stack);
+        on_loop_enter =
+          (fun ~sid ->
+            (loop sid).entered <- (loop sid).entered + 1;
+            stack := { a_sid = sid; a_iter = 0; last_write = Hashtbl.create 64 } :: !stack);
+        on_loop_iter =
+          (fun ~sid ~iter ->
+            match !stack with
+            | a :: _ when a.a_sid = sid -> a.a_iter <- iter
+            | _ -> ());
+        on_loop_exit =
+          (fun ~sid ~trips ->
+            (loop sid).total_trips <- (loop sid).total_trips + trips;
+            match !stack with
+            | a :: rest when a.a_sid = sid -> stack := rest
+            | _ -> ());
+      }
+    in
+    ignore (Voltron_ir.Interp.run ~events ?max_steps p);
+    t
+
+  let instances t sid =
+    match Hashtbl.find_opt t.loops sid with Some s -> s.entered | None -> 0
+
+  let avg_trip t sid =
+    match Hashtbl.find_opt t.loops sid with
+    | Some s when s.entered > 0 ->
+      float_of_int s.total_trips /. float_of_int s.entered
+    | Some _ | None -> 0.
+
+  let has_cross_raw t sid = Hashtbl.mem t.cross_raw sid
+
+  let miss_rate t sid =
+    match Hashtbl.find_opt t.sites sid with
+    | Some s when s.accesses > 0 -> float_of_int s.misses /. float_of_int s.accesses
+    | Some _ | None -> 0.
+
+  let access_count t sid =
+    match Hashtbl.find_opt t.sites sid with Some s -> s.accesses | None -> 0
+
+  let dyn_count t sid = Option.value ~default:0 (Hashtbl.find_opt t.dyn sid)
+end
+
+let max_sid (p : Hir.program) =
+  let m = ref (-1) in
+  List.iter
+    (fun (r : Hir.region) -> Hir.iter_stmts (fun s -> m := max !m s.Hir.sid) r.Hir.stmts)
+    p.Hir.regions;
+  !m
+
+(* Every query agrees, bit for bit, on every sid (and one past the end). *)
+let check_profile_matches name p =
+  let max_steps = 2_000_000 in
+  match Ref_profile.collect ~max_steps p with
+  | exception Voltron_ir.Interp.Step_limit_exceeded ->
+    Alcotest.(check bool)
+      (name ^ ": both hit the step limit") true
+      (match Profile.collect ~max_steps p with
+      | exception Voltron_ir.Interp.Step_limit_exceeded -> true
+      | _ -> false)
+  | r ->
+    let t = Profile.collect ~max_steps p in
+    let fail what sid = Alcotest.failf "%s: %s differs at sid %d" name what sid in
+    for sid = -1 to max_sid p + 1 do
+      if Profile.instances t sid <> Ref_profile.instances r sid then fail "instances" sid;
+      if Profile.avg_trip t sid <> Ref_profile.avg_trip r sid then fail "avg_trip" sid;
+      if Profile.has_cross_raw t sid <> Ref_profile.has_cross_raw r sid then
+        fail "has_cross_raw" sid;
+      if Profile.miss_rate t sid <> Ref_profile.miss_rate r sid then fail "miss_rate" sid;
+      if Profile.access_count t sid <> Ref_profile.access_count r sid then
+        fail "access_count" sid;
+      if Profile.dyn_count t sid <> Ref_profile.dyn_count r sid then fail "dyn_count" sid
+    done;
+    Alcotest.(check int) (name ^ ": total_dyn") r.Ref_profile.total (Profile.total_dyn t)
+
+let test_profile_matches_reference () =
+  List.iter
+    (fun (b : Voltron_workloads.Suite.benchmark) ->
+      check_profile_matches b.Voltron_workloads.Suite.bench_name
+        (b.Voltron_workloads.Suite.build ~scale:0.2 ()))
+    Voltron_workloads.Suite.all;
+  for seed = 1 to 200 do
+    let ast = Voltron_gen.Gen.program ~seed () in
+    let p =
+      Voltron_lang.Frontend.parse_string ~name:ast.Voltron_lang.Ast.prog_name
+        (Voltron_gen.Gen.render ast)
+    in
+    check_profile_matches (Printf.sprintf "gen seed %d" seed) p
+  done
+
+let loop_sids (p : Hir.program) =
+  let loops = ref [] in
+  List.iter
+    (fun (r : Hir.region) ->
+      Hir.iter_stmts
+        (fun s -> match s.Hir.node with Hir.For _ -> loops := s.Hir.sid :: !loops | _ -> ())
+        r.Hir.stmts)
+    p.Hir.regions;
+  List.rev !loops
+
+(* Each instance of the inner loop reads the half of [a] the previous
+   instance wrote, at a different iteration index (j reads what 3 - j
+   wrote), and never what its own iterations wrote. A last-write record
+   that outlived its loop instance would flag the inner loop; the outer
+   loop, whose iteration i + 1 reads what iteration i wrote, is flagged. *)
+let test_profile_reentered_inner () =
+  let b = B.create "t" in
+  let a = B.array b ~name:"a" ~size:8 ~init:(fun i -> i) () in
+  B.region b "main" (fun () ->
+      B.for_ b ~from:(imm 0) ~limit:(imm 4) (fun i ->
+          let half = B.binop b Inst.And i (imm 1) in
+          let rd = B.mul b half (imm 4) in
+          let wr = B.sub b (imm 4) rd in
+          B.for_ b ~from:(imm 0) ~limit:(imm 4) (fun j ->
+              let v = B.load b a (B.add b rd j) in
+              B.store b a (B.add b wr (B.sub b (imm 3) j)) (B.add b v (imm 1)))));
+  let p = B.finish b in
+  check_profile_matches "re-entered inner" p;
+  let profile = Profile.collect p in
+  match loop_sids p with
+  | [ outer; inner ] ->
+    Alcotest.(check int) "inner entered per outer iteration" 4 (Profile.instances profile inner);
+    Alcotest.(check bool) "outer has RAW" true (Profile.has_cross_raw profile outer);
+    Alcotest.(check bool) "inner has no RAW" false (Profile.has_cross_raw profile inner)
+  | _ -> Alcotest.fail "two loops expected"
+
+(* The write happens inside the inner loop and the read outside it, one
+   outer iteration later: only the outer loop carries the dependence. *)
+let test_profile_outer_through_inner () =
+  let b = B.create "t" in
+  let a = B.array b ~name:"a" ~size:16 ~init:(fun i -> i) () in
+  B.region b "main" (fun () ->
+      B.for_ b ~from:(imm 1) ~limit:(imm 6) (fun i ->
+          let base = B.mul b i (imm 2) in
+          B.for_ b ~from:(imm 0) ~limit:(imm 2) (fun j ->
+              B.store b a (B.add b base j) j);
+          let v = B.load b a (B.sub b base (imm 1)) in
+          B.store b a (imm 0) v));
+  let p = B.finish b in
+  check_profile_matches "outer through inner" p;
+  let profile = Profile.collect p in
+  match loop_sids p with
+  | [ outer; inner ] ->
+    Alcotest.(check bool) "outer has RAW" true (Profile.has_cross_raw profile outer);
+    Alcotest.(check bool) "inner has no RAW" false (Profile.has_cross_raw profile inner)
+  | _ -> Alcotest.fail "two loops expected"
+
 (* --- DOALL --------------------------------------------------------------------- *)
 
 let classify build =
@@ -459,6 +681,11 @@ let () =
         [
           Alcotest.test_case "trips and raw" `Quick test_profile_trips_and_raw;
           Alcotest.test_case "miss rates" `Quick test_profile_miss_rates;
+          Alcotest.test_case "matches the hashtable model" `Quick
+            test_profile_matches_reference;
+          Alcotest.test_case "re-entered inner loop" `Quick test_profile_reentered_inner;
+          Alcotest.test_case "outer RAW via inner write" `Quick
+            test_profile_outer_through_inner;
         ] );
       ( "doall",
         [

@@ -610,6 +610,102 @@ let test_window_proven_beats_speculative () =
     true
     (proven_cycles < spec_cycles)
 
+(* --- one interpretation per compile ------------------------------------- *)
+
+module Profile = Voltron_analysis.Profile
+module Image = Voltron_isa.Image
+module Program = Voltron_isa.Program
+
+let same_executable (a : Program.t) (b : Program.t) =
+  a.Program.mem_size = b.Program.mem_size
+  && a.Program.mem_init = b.Program.mem_init
+  && Array.length a.Program.images = Array.length b.Program.images
+  && Array.for_all2
+       (fun x y ->
+         Image.length x = Image.length y
+         && List.for_all (fun i -> Image.fetch x i = Image.fetch y i)
+              (List.init (Image.length x) Fun.id))
+       a.Program.images b.Program.images
+
+(* The public stages run separately, as before the compile fused its
+   interpreter runs: selection from [profile], then codegen left to
+   profile the program itself for eBUG. *)
+let staged_executable ~machine ~profile choice p =
+  let plan = Select.plan ~machine ~profile choice p in
+  let cg = Codegen.create machine p in
+  List.iter
+    (fun (pr : Select.planned_region) ->
+      Codegen.emit_region cg ~name:pr.Select.pr_name pr.Select.pr_stmts
+        pr.Select.pr_strategy)
+    plan;
+  Codegen.finalize cg
+
+let check_same what fused staged =
+  if not (same_executable fused staged) then
+    Alcotest.failf "%s: Driver.compile built another executable" what
+
+let test_compile_matches_stages () =
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let name = b.Suite.bench_name and p = b.Suite.build ~scale:0.2 () in
+      let profile = Profile.collect p in
+      let oracle = Voltron_ir.Interp.run p in
+      let footprint = Voltron_ir.Layout.mem_size oracle.Voltron_ir.Interp.layout in
+      let checksum =
+        Voltron_mem.Memory.checksum_prefix oracle.Voltron_ir.Interp.memory footprint
+      in
+      List.iter
+        (fun n_cores ->
+          let machine = Config.default ~n_cores in
+          List.iter
+            (fun (cname, choice) ->
+              let what = Printf.sprintf "%s/%s/%d" name cname n_cores in
+              let c = Driver.compile ~machine ~choice ~check:false p in
+              check_same what c.Driver.executable
+                (staged_executable ~machine ~profile choice p);
+              Alcotest.(check int) (what ^ " footprint") footprint c.Driver.array_footprint;
+              Alcotest.(check int) (what ^ " checksum") checksum c.Driver.oracle_checksum)
+            choices)
+        [ 2; 4; 8 ])
+    Suite.all
+
+(* [~static_profile] and a caller's [?profile] change selection only:
+   eBUG still reads the compiled program's own dynamic profile. The
+   foreign profile is the same benchmark's at another scale — same sids,
+   other counts — as the resilience sweep passes a fault-free program's
+   profile to its faulted variants. *)
+let test_compile_profile_paths () =
+  let builds =
+    List.map (fun (b : Suite.benchmark) -> (b.Suite.bench_name, b.Suite.build)) Suite.all
+    @ [
+        ("micro:gsm_llp", Suite.micro_gsm_llp);
+        ("micro:gzip_strands", Suite.micro_gzip_strands);
+        ("micro:gsm_ilp", Suite.micro_gsm_ilp);
+      ]
+  in
+  List.iter
+    (fun (name, build) ->
+      let p = build ?scale:(Some 0.2) () in
+      let foreign = Profile.collect (build ?scale:(Some 0.1) ()) in
+      List.iter
+        (fun n_cores ->
+          let machine = Config.default ~n_cores in
+          let static = Profile.of_static ~cache:machine.Config.cache p in
+          List.iter
+            (fun (cname, choice) ->
+              let what = Printf.sprintf "%s/%s/%d" name cname n_cores in
+              check_same (what ^ " static")
+                (Driver.compile ~machine ~choice ~check:false ~static_profile:true p)
+                  .Driver.executable
+                (staged_executable ~machine ~profile:static choice p);
+              check_same (what ^ " foreign")
+                (Driver.compile ~machine ~choice ~check:false ~profile:foreign p)
+                  .Driver.executable
+                (staged_executable ~machine ~profile:foreign choice p))
+            [ ("tlp", `Tlp); ("hybrid", `Hybrid) ])
+        [ 2; 4 ])
+    builds
+
 let () =
   Alcotest.run "compiler"
     [
@@ -640,6 +736,12 @@ let () =
           Alcotest.test_case "dce" `Quick test_dce_removes_dead;
           Alcotest.test_case "optimized verifies" `Quick test_optimized_compiles_verified;
           QCheck_alcotest.to_alcotest test_opt_preserves_random_programs;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "compile = separate stages" `Slow test_compile_matches_stages;
+          Alcotest.test_case "static and foreign profiles" `Quick
+            test_compile_profile_paths;
         ] );
       ( "estimate",
         [

@@ -162,6 +162,28 @@ let test_create_budget () =
     true
     (words <= create_budget_words)
 
+(* Minor-heap words per dynamic statement for one profiling run, the
+   interpreter's own allocation included. The profiler's facts are int
+   arrays indexed by sid and its last-write tables are flat per-depth
+   arrays on the major heap, so its hooks add ~0.1 words per statement to
+   the interpreter's ~2.1 (mostly the initial-memory list, and a closure
+   per statement list executed): measured ~2.2 on this workload. The
+   hashtable profiler it replaced (a [Some] per statement count, a fresh
+   table per loop entry) measured ~5.1 and fails this. *)
+let profile_budget_words_per_stmt = 3.0
+
+let test_profile_budget () =
+  let program = (Suite.by_name "gsmencode").Suite.build ~scale:1.0 () in
+  let before = Gc.minor_words () in
+  let profile = Voltron_analysis.Profile.collect program in
+  let words = Gc.minor_words () -. before in
+  let per_stmt = words /. float_of_int (Voltron_analysis.Profile.total_dyn profile) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words/statement within %.1f" per_stmt
+       profile_budget_words_per_stmt)
+    true
+    (per_stmt <= profile_budget_words_per_stmt)
+
 let () =
   Alcotest.run "perf"
     [
@@ -175,5 +197,6 @@ let () =
         [
           Alcotest.test_case "per-cycle budget" `Quick test_allocation_budget;
           Alcotest.test_case "Machine.create budget" `Quick test_create_budget;
+          Alcotest.test_case "Profile.collect budget" `Quick test_profile_budget;
         ] );
     ]

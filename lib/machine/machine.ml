@@ -126,6 +126,11 @@ type core_state = {
   mutable snap : int array;
   mutable snap_epoch : int array;
   mutable snap_gen : int;
+  (* Verdict memo (fast-forward only): [blocker]'s last blocked verdict,
+     valid while [now < memo_wake]. 0 (never valid) unless set under
+     [ff_active]; see [blocker] for what drops it. *)
+  mutable memo : wait option;
+  mutable memo_wake : int;
 }
 
 type t = {
@@ -161,6 +166,9 @@ type t = {
   mutable wake : int;
   sc_wait : wait option array;
   sc_waiting : bool array;
+  (* One [Some (W_recv _)] per (sender, kind), indexed
+     [sender * 3 + recv_slot kind]: a blocked RECV allocates nothing. *)
+  recv_waits : wait option array;
 }
 
 let initial_regs = 64
@@ -210,6 +218,8 @@ let fresh_core cfg image id =
     snap = Array.make initial_regs 0;
     snap_epoch = Array.make initial_regs 0;
     snap_gen = 0;
+    memo = None;
+    memo_wake = 0;
   }
 
 let validate_widths cfg (prog : Program.t) =
@@ -220,6 +230,11 @@ let validate_widths cfg (prog : Program.t) =
           ~comm_width:cfg.Config.comm_width (Image.fetch image addr)
       done)
     prog.images
+
+(* A RECV kind's slot, and the stall kind its wait counts as, by slot. *)
+let recv_slot = function Inst.Rv_data -> 0 | Inst.Rv_pred -> 1 | Inst.Rv_sync -> 2
+
+let recv_stall_kinds = [| Stats.Recv_data; Stats.Recv_pred; Stats.Sync |]
 
 let create cfg (prog : Program.t) =
   if Program.n_cores prog <> cfg.Config.n_cores then
@@ -266,6 +281,9 @@ let create cfg (prog : Program.t) =
       wake = max_int;
       sc_wait = Array.make cfg.n_cores None;
       sc_waiting = Array.make cfg.n_cores false;
+      recv_waits =
+        Array.init (3 * cfg.n_cores) (fun i ->
+            Some (W_recv { sender = i / 3; kind = recv_stall_kinds.(i mod 3) }));
     }
   in
   (* Core 0's first fetch starts at cycle 0. *)
@@ -479,16 +497,11 @@ let blocker_check_op t cs now op =
     else begin
       if t.ff_active then
         t.wake <- Net.next_value_ready t.net ~core:cs.id ~sender;
-      Some
-        (W_recv
-           {
-             sender;
-             kind =
-               (match kind with
-               | Inst.Rv_data -> Stats.Recv_data
-               | Inst.Rv_pred -> Stats.Recv_pred
-               | Inst.Rv_sync -> Stats.Sync);
-           })
+      if sender >= 0 && sender < Array.length t.cores then
+        t.recv_waits.(sender * 3 + recv_slot kind)
+      else
+        (* Off-mesh sender (unvalidated asm): never deliverable. *)
+        Some (W_recv { sender; kind = recv_stall_kinds.(recv_slot kind) })
     end
   | Inst.Getb _ ->
     if Net.getb_ready t.net ~now ~core:cs.id then None
@@ -531,7 +544,7 @@ let rec blocker_op_loop t cs now (ops : Inst.t array) (uses : int array array)
       | Some _ as s -> s
       | None -> blocker_op_loop t cs now ops uses n_ops (i + 1))
 
-let blocker t cs =
+let blocker_scan t cs =
   let now = t.now in
   if now < cs.stall_until then begin
     t.wake <- cs.stall_until;
@@ -551,6 +564,35 @@ let blocker t cs =
     blocker_op_loop t cs now d.Image.d_ops d.Image.d_uses
       (Array.length d.Image.d_ops) 0
   end
+
+(* [blocker_scan] behind the verdict memo. Under fast-forward a blocked
+   verdict and its wake are kept on the core and returned, without a
+   rescan, until the wake: the thresholds it compares against (fill,
+   scoreboard, memory-unit and branch-target times, message arrival) only
+   move when the core itself issues, and the scan's earlier, passing
+   conditions cannot start failing as time passes. What else can change
+   a verdict early drops the memo ([forget]): a SEND or SPAWN enqueued to
+   the core, its receiver dequeuing one of its messages (the channel of a
+   [W_send_full] drains) and any BCAST. An issue needs a [None] verdict,
+   which is never memoised, so a core that issues has no memo left. *)
+let blocker t cs =
+  if t.now < cs.memo_wake then begin
+    t.wake <- cs.memo_wake;
+    cs.memo
+  end
+  else
+    match blocker_scan t cs with
+    | None -> None
+    | Some _ as v ->
+      if t.ff_active then begin
+        cs.memo <- v;
+        cs.memo_wake <- t.wake
+      end;
+      v
+
+let forget cs = cs.memo_wake <- 0
+
+let forget_all t = Array.iter forget t.cores
 
 (* --- Bundle execution ----------------------------------------------------- *)
 
@@ -575,6 +617,23 @@ let read_operand cs (o : Inst.operand) =
       cs.snap.(r)
     else failwith "Machine: operand missing from bundle source snapshot"
 
+(* Enqueue a SEND or SPAWN payload; the receiver's verdict may change. *)
+let send_to t cs target payload =
+  let now = t.now in
+  (match Net.send t.net ~now ~src:cs.id ~dst:target payload with
+  | Ok () -> ()
+  | Error Net.Channel_full ->
+    (* Overflow NACK: the send is parked and retried with backoff rather
+       than wedging the machine (can only arise under fault injection,
+       where a retrying message holds its channel slot longer than the
+       occupancy the issue check saw). *)
+    Net.defer t.net ~now ~src:cs.id ~dst:target payload
+  | Error (Net.Bad_destination _ as e) ->
+    failwith
+      (Printf.sprintf "core %d cycle %d: %s" cs.id now
+         (Net.error_to_string (Net.Send_failed e))));
+  forget t.cores.(target)
+
 (* Phase 1: communication-out ops (PUT/BCAST/SEND/SPAWN), executed for all
    issuing cores before any core's phase 2, so that same-cycle PUT/GET and
    BCAST pairing works across cores. *)
@@ -589,32 +648,14 @@ let exec_comm_out t cs op =
         (Printf.sprintf "core %d cycle %d: %s" cs.id now
            (Net.error_to_string (Net.Put_failed { src_core = cs.id; error = e }))))
   | Inst.Bcast { src } ->
-    Net.bcast t.net ~now ~src_core:cs.id (read_operand cs src)
-  | Inst.Send { target; src } -> (
-    let payload = Net.Value (read_operand cs src) in
-    match Net.send t.net ~now ~src:cs.id ~dst:target payload with
-    | Ok () -> ()
-    | Error Net.Channel_full ->
-      (* Overflow NACK: the send is parked and retried with backoff rather
-         than wedging the machine (can only arise under fault injection,
-         where a retrying message holds its channel slot longer than the
-         occupancy the issue check saw). *)
-      Net.defer t.net ~now ~src:cs.id ~dst:target payload
-    | Error (Net.Bad_destination _ as e) ->
-      failwith
-        (Printf.sprintf "core %d cycle %d: %s" cs.id now
-           (Net.error_to_string (Net.Send_failed e))))
-  | Inst.Spawn { target; entry } -> (
+    Net.bcast t.net ~now ~src_core:cs.id (read_operand cs src);
+    forget_all t
+  | Inst.Send { target; src } ->
+    send_to t cs target (Net.Value (read_operand cs src))
+  | Inst.Spawn { target; entry } ->
     let addr = Image.resolve t.prog.images.(target) entry in
     t.st.spawns <- t.st.spawns + 1;
-    let payload = Net.Start addr in
-    match Net.send t.net ~now ~src:cs.id ~dst:target payload with
-    | Ok () -> ()
-    | Error Net.Channel_full -> Net.defer t.net ~now ~src:cs.id ~dst:target payload
-    | Error (Net.Bad_destination _ as e) ->
-      failwith
-        (Printf.sprintf "core %d cycle %d: %s" cs.id now
-           (Net.error_to_string (Net.Send_failed e))))
+    send_to t cs target (Net.Start addr)
   | Inst.Alu _ | Inst.Fpu _ | Inst.Cmp _ | Inst.Select _ | Inst.Load _
   | Inst.Store _ | Inst.Mov _ | Inst.Pbr _ | Inst.Br _ | Inst.Getb _
   | Inst.Get _ | Inst.Recv _ | Inst.Sleep | Inst.Mode_switch _ | Inst.Tm_begin
@@ -705,6 +746,7 @@ let exec_main t cs op =
   | Inst.Recv { sender; dst; kind } -> (
     match Net.recv t.net ~now ~core:cs.id ~sender with
     | Some v ->
+      forget t.cores.(sender);
       let prod =
         match kind with
         | Inst.Rv_data -> P_recv_data
@@ -801,6 +843,9 @@ let record_idle t cs = record_idles t cs 1
 let try_wake t cs =
   match Net.take_start t.net ~now:t.now ~core:cs.id with
   | Some addr ->
+    (* The START's sender is not named; spawns are rare enough to drop
+       every memo. *)
+    forget_all t;
     cs.pc <- addr;
     cs.status <- Running;
     initiate_fetch t cs;
@@ -828,9 +873,18 @@ let window_end t ~min_wake =
   imin (min_wake - 1)
     (imin t.cfg.Config.max_cycles (t.last_progress + t.cfg.Config.watchdog + 1))
 
+(* [k] cycles of a running core that could issue but is held by the
+   coupled-mode stall bus: blamed on the peers' dominant reason [kind], the
+   lock-step overhead the coupled mode pays. *)
+let hold t cs kind k =
+  Stats.add_stall t.st ~core:cs.id kind k;
+  if observed t then
+    report t cs ~pc:cs.pc ~k ~redo:cs.tm_serial (Blame_lockstep { b_kind = kind })
+
 (* Credit [k] cycles of the frozen configuration captured in [sc_wait]:
-   exactly what [k] repetitions of the per-cycle sweep would record. *)
-let bulk_credit t k =
+   exactly what [k] repetitions of the per-cycle sweep would record. A
+   running core without a verdict is held on [held] (coupled mode only). *)
+let bulk_credit t k ~held =
   let cores = t.cores in
   for i = 0 to Array.length cores - 1 do
     let cs = cores.(i) in
@@ -840,7 +894,7 @@ let bulk_credit t k =
     | Running -> (
       match t.sc_wait.(i) with
       | Some w -> stall_on t cs w k
-      | None -> assert false)
+      | None -> hold t cs held k)
   done
 
 (* Issue one decoupled core's bundle: snapshot, phase 1 (communication
@@ -909,7 +963,8 @@ let decoupled_step t =
         t.st.decoupled_cycles <- t.st.decoupled_cycles + (k - 1);
         t.now <- e
       end;
-      bulk_credit t k
+      (* Every running core in the window is blocked: none is held. *)
+      bulk_credit t k ~held:Stats.Sync
     end
     else begin
       (* Replay the frozen prefix for this one cycle (an asleep prefix core
@@ -940,7 +995,6 @@ let coupled_step t =
   let cores = t.cores in
   let n = Array.length cores in
   let n_blocked = ref 0 in
-  let any_running_unblocked = ref false in
   let has_d = ref false and has_i = ref false in
   let first_kind = ref Stats.Sync in
   let min_wake = ref max_int in
@@ -951,9 +1005,7 @@ let coupled_step t =
     | Running -> (
       t.wake <- max_int;
       match blocker t cs with
-      | None ->
-        t.sc_wait.(i) <- None;
-        any_running_unblocked := true
+      | None -> t.sc_wait.(i) <- None
       | Some w as b ->
         t.sc_wait.(i) <- b;
         let k = stall_of_wait w in
@@ -972,43 +1024,34 @@ let coupled_step t =
       failwith
         (Printf.sprintf "core %d in unexpected state during coupled mode" cs.id)
   done;
-  let bulked =
-    !n_blocked > 0 && t.ff_active && not !any_running_unblocked
+  (* Group stall: a core with its own reason records it; the rest are held
+     on the peers' dominant reason (D over I over the first in core order). *)
+  let dominant =
+    if !has_d then Stats.D_stall else if !has_i then Stats.I_stall else !first_kind
   in
+  let bulked = !n_blocked > 0 && t.ff_active in
   if bulked then begin
-    (* Every running core is blocked with its own verdict (the group-stall
-       "dominant" kind is moot), so the window credit is exact; waiting
-       cores take their Sync cycles in the same bulk update. *)
+    (* Lock-step group-stall window: nothing issues while any running core
+       is blocked, so the blocked cores' verdicts, the dominant kind and the
+       held cores' "could issue" are all frozen until the blocked cores'
+       earliest wake. Waiting cores take their Sync cycles in the same bulk
+       update. *)
     let e = window_end t ~min_wake:!min_wake in
     let k = e - t.now + 1 in
     if k > 1 then begin
       t.st.coupled_cycles <- t.st.coupled_cycles + (k - 1);
       t.now <- e
     end;
-    bulk_credit t k
+    bulk_credit t k ~held:dominant
   end
-  else if !n_blocked > 0 then begin
-    (* Group stall: a core with its own reason records it; the rest record
-       the peers' dominant reason (D over I over the first in core order). *)
-    let dominant =
-      if !has_d then Stats.D_stall
-      else if !has_i then Stats.I_stall
-      else !first_kind
-    in
+  else if !n_blocked > 0 then
     for i = 0 to n - 1 do
       let cs = cores.(i) in
       if is_running cs then
         match t.sc_wait.(i) with
         | Some w -> stall_on t cs w 1
-        | None ->
-          (* Issueable, held only by the stall bus: blamed on the dominant
-             peer reason, the lock-step overhead the coupled mode pays. *)
-          Stats.add_stall t.st ~core:cs.id dominant 1;
-          if observed t then
-            report t cs ~pc:cs.pc ~k:1 ~redo:cs.tm_serial
-              (Blame_lockstep { b_kind = dominant })
+        | None -> hold t cs dominant 1
     done
-  end
   else begin
     (* Phase 0: snapshot every issuing core's sources before any effects. *)
     for i = 0 to n - 1 do

@@ -151,6 +151,8 @@ type t = {
   n_cores : int;
   l1d : Cache.t array;
   l1i : Cache.t array;
+  (* Per core, the instruction line of its last fetch (-1: none yet). *)
+  last_iline : int array;
   l2 : Cache.t;
   mutable bus_free : int;
   (* Directory backend: per-home-bank busy-until and the line -> entry map.
@@ -174,6 +176,7 @@ let create cfg ~n_cores =
     n_cores;
     l1d = Array.init n_cores (fun _ -> Cache.create ~sets:cfg.l1d_sets ~ways:cfg.l1d_ways);
     l1i = Array.init n_cores (fun _ -> Cache.create ~sets:cfg.l1i_sets ~ways:cfg.l1i_ways);
+    last_iline = Array.make n_cores (-1);
     l2 = Cache.create ~sets:cfg.l2_sets ~ways:cfg.l2_ways;
     bus_free = 0;
     home_free = Array.make n_cores 0;
@@ -340,13 +343,30 @@ let access_data t ~now ~core ~write addr =
     fill t ~core l1 line my_state;
     start + duration
 
+(* Fetch-line memo, shared by both backends: whether [line] is the line of
+   [core]'s previous fetch, recording it as the new last line otherwise. A
+   repeat is an L1I hit that needs no lookup: only the core's own fetches
+   touch its L1I ([would_hit] uses the non-promoting [Cache.find]), and
+   every fetch leaves its line most recently used, so the repeated line is
+   already the newest in the whole cache and promoting it again could not
+   reorder any set. *)
+let repeat_fetch t ~core line =
+  if line = t.last_iline.(core) then true
+  else begin
+    t.last_iline.(core) <- line;
+    false
+  end
+
 let access_inst t ~now ~core addr =
   let st = t.per_core.(core) in
   let line = iline t core addr in
   let l1 = t.l1i.(core) in
-  match Cache.access l1 line with
-  | Some _ -> now + t.cfg.lat_l1
-  | None ->
+  let hit =
+    repeat_fetch t ~core line
+    || match Cache.access l1 line with Some _ -> true | None -> false
+  in
+  if hit then now + t.cfg.lat_l1
+  else begin
     st.l1i_misses <- st.l1i_misses + 1;
     let start = acquire_bus t ~now ~core in
     let duration =
@@ -360,6 +380,7 @@ let access_inst t ~now ~core addr =
     (match Cache.insert l1 line Cache.S with
     | None | Some _ -> () (* code is clean; victims need no writeback *));
     start + duration
+  end
 
 (* --- Directory backend (home-based MESI) ----------------------------------- *)
 
@@ -555,9 +576,12 @@ let dir_access_inst t ~now ~core addr =
   let st = t.per_core.(core) in
   let line = iline t core addr in
   let l1 = t.l1i.(core) in
-  match Cache.access l1 line with
-  | Some _ -> now + t.cfg.lat_l1
-  | None ->
+  let hit =
+    repeat_fetch t ~core line
+    || match Cache.access l1 line with Some _ -> true | None -> false
+  in
+  if hit then now + t.cfg.lat_l1
+  else begin
     st.l1i_misses <- st.l1i_misses + 1;
     let start = acquire_home t ~now ~core (home_of t line) in
     let duration =
@@ -571,6 +595,7 @@ let dir_access_inst t ~now ~core addr =
     (match Cache.insert l1 line Cache.S with
     | None | Some _ -> () (* code is clean; victims need no writeback *));
     start + t.cfg.dir_lat_msg + duration
+  end
 
 (* --- Common surface --------------------------------------------------------- *)
 

@@ -592,6 +592,189 @@ let test_send_backpressure () =
   Alcotest.(check bool) "sender stalled on capacity" true
     ((Stats.core st 0).Stats.sync_stall > 0)
 
+(* --- Fast-forward paths: on vs off -------------------------------------------- *)
+
+(* Run [images] with fast-forward on and off: the same outcome, cycles,
+   checksum and every [Stats] counter. Returns the windows the on run's
+   subscriber saw in coupled mode, as (from, upto) pairs. Off, every
+   window is one cycle: none of the stall fast paths may engage. *)
+let ff_same ?(tweak = Fun.id) ~n_cores ?(mem_size = 1024) images =
+  let run ff =
+    let cfg = tweak { (Config.default ~n_cores) with Config.fast_forward = ff } in
+    let m = Machine.create cfg (Program.make ~images ~mem_size ~mem_init:[]) in
+    let windows = ref [] in
+    Machine.subscribe m (function
+      | Machine.Window { from; upto } ->
+        windows := (from, upto, Machine.mode m) :: !windows
+      | _ -> ());
+    let r = Machine.run m in
+    (r, Machine.stats m, List.rev !windows)
+  in
+  let r_on, st_on, w_on = run true and r_off, st_off, w_off = run false in
+  Alcotest.(check bool) "finished" true (r_on.Machine.outcome = Machine.Finished);
+  Alcotest.(check bool) "same outcome" true (r_on.Machine.outcome = r_off.Machine.outcome);
+  Alcotest.(check int) "same cycles" r_off.Machine.cycles r_on.Machine.cycles;
+  Alcotest.(check int) "same checksum" r_off.Machine.checksum r_on.Machine.checksum;
+  Alcotest.(check bool) "same stats" true (st_on = st_off);
+  Alcotest.(check bool) "ff off steps one cycle at a time" true
+    (List.for_all (fun (from, upto, _) -> from = upto) w_off);
+  List.filter_map
+    (fun (from, upto, mode) ->
+      match mode with Inst.Coupled -> Some (from, upto) | Inst.Decoupled -> None)
+    w_on
+
+let longest windows =
+  List.fold_left (fun acc (from, upto) -> max acc (upto - from + 1)) 0 windows
+
+let test_ff_lockstep_miss () =
+  (* Coupled: core 0's load misses to memory while cores 1-3 could issue.
+     The stall bus holds them, so the whole miss is one coupled window. *)
+  let c0 =
+    assemble
+      ((None, [ Inst.Spawn { target = 1; entry = "w" } ])
+       :: (None, [ Inst.Spawn { target = 2; entry = "w" } ])
+       :: (None, [ Inst.Spawn { target = 3; entry = "w" } ])
+       :: (None, switch Inst.Coupled)
+       :: List.init 3 (fun i ->
+              (None, [ Inst.Load { dst = i + 1; base = imm (i * 64); offset = imm 0 } ]))
+      @ [ (None, switch Inst.Decoupled); (None, [ Inst.Halt ]) ])
+  in
+  let peer =
+    assemble
+      ((Some "w", switch Inst.Coupled)
+       :: List.init 3 (fun i -> (None, [ Inst.Mov { dst = i + 1; src = imm i } ]))
+      @ [ (None, switch Inst.Decoupled); (None, [ Inst.Sleep ]) ])
+  in
+  let windows = ff_same ~n_cores:4 [| c0; peer; peer; peer |] in
+  let lat_mem = Voltron_mem.Coherence.default_config.Voltron_mem.Coherence.lat_mem in
+  Alcotest.(check bool)
+    (Printf.sprintf "a miss is one window (longest %d cycles)" (longest windows))
+    true
+    (longest windows >= lat_mem - 10)
+
+let test_ff_send_full_low_receiver () =
+  (* Channel capacity 1: core 1's SENDs to core 0 back up, and each is
+     released by core 0's RECV in the same cycle — core 0 runs first. *)
+  let c0 =
+    assemble
+      ((None, [ Inst.Spawn { target = 1; entry = "w" } ])
+       :: List.concat
+            (List.init 4 (fun i ->
+                 [
+                   (None, [ Inst.Alu { op = Inst.Div; dst = 10; src1 = imm 99; src2 = imm 7 } ]);
+                   (None, [ Inst.Alu { op = Inst.Add; dst = 11; src1 = reg 10; src2 = imm 1 } ]);
+                   (None, [ Inst.Recv { sender = 1; dst = i + 1; kind = Inst.Rv_data } ]);
+                 ]))
+      @ [
+          (None, [ Inst.Store { base = imm 0; offset = imm 0; src = reg 4 } ]);
+          (None, [ Inst.Halt ]);
+        ])
+  in
+  let c1 =
+    assemble
+      ((Some "w", [ Inst.Nop ])
+       :: List.init 4 (fun i -> (None, [ Inst.Send { target = 0; src = imm (i + 5) } ]))
+      @ [ (None, [ Inst.Sleep ]) ])
+  in
+  ignore
+    (ff_same ~n_cores:2 ~mem_size:64
+       ~tweak:(fun c -> { c with Config.net_capacity = 1 })
+       [| c0; c1 |])
+
+let test_ff_recv_woken_by_send () =
+  (* Core 0 RECVs on an empty channel: its wait is event-driven until core
+     1, after a long computation, SENDs. *)
+  let c0 =
+    assemble
+      [
+        (None, [ Inst.Spawn { target = 1; entry = "w" } ]);
+        (None, [ Inst.Recv { sender = 1; dst = 1; kind = Inst.Rv_data } ]);
+        (None, [ Inst.Recv { sender = 1; dst = 2; kind = Inst.Rv_pred } ]);
+        (None, [ Inst.Store { base = imm 0; offset = imm 0; src = reg 2 } ]);
+        (None, [ Inst.Halt ]);
+      ]
+  in
+  let c1 =
+    assemble
+      ((Some "w", [ Inst.Mov { dst = 1; src = imm 3 } ])
+       :: List.init 3 (fun _ ->
+              (None, [ Inst.Alu { op = Inst.Div; dst = 1; src1 = reg 1; src2 = imm 1 } ]))
+      @ [
+          (None, [ Inst.Send { target = 0; src = reg 1 } ]);
+          (None, [ Inst.Load { dst = 2; base = imm 40; offset = imm 0 } ]);
+          (None, [ Inst.Send { target = 0; src = reg 2 } ]);
+          (None, [ Inst.Sleep ]);
+        ])
+  in
+  ignore (ff_same ~n_cores:2 ~mem_size:64 [| c0; c1 |])
+
+let test_ff_getb_after_bcast () =
+  (* Decoupled GETBs: core 1 waits on an empty broadcast slot, then on a
+     consumed one, and each wait ends only with core 0's next BCAST. *)
+  let bcast_after_delay i =
+    [
+      (None, [ Inst.Alu { op = Inst.Div; dst = 5; src1 = imm 99; src2 = imm 7 } ]);
+      (None, [ Inst.Alu { op = Inst.Add; dst = 6; src1 = reg 5; src2 = imm i } ]);
+      (None, [ Inst.Bcast { src = reg 6 } ]);
+    ]
+  in
+  let c0 =
+    assemble
+      ([
+         (None, [ Inst.Spawn { target = 1; entry = "w" } ]);
+         (None, [ Inst.Recv { sender = 1; dst = 8; kind = Inst.Rv_sync } ]);
+       ]
+      @ bcast_after_delay 0
+      @ [ (None, [ Inst.Recv { sender = 1; dst = 9; kind = Inst.Rv_sync } ]) ]
+      @ bcast_after_delay 1
+      @ [
+          (None, [ Inst.Recv { sender = 1; dst = 7; kind = Inst.Rv_data } ]);
+          (None, [ Inst.Store { base = imm 0; offset = imm 0; src = reg 7 } ]);
+          (None, [ Inst.Halt ]);
+        ])
+  in
+  let c1 =
+    assemble
+      [
+        (Some "w", [ Inst.Send { target = 0; src = imm 1 } ]);
+        (None, [ Inst.Getb { dst = 1 } ]);
+        (None, [ Inst.Send { target = 0; src = imm 2 } ]);
+        (None, [ Inst.Getb { dst = 2 } ]);
+        (None, [ Inst.Alu { op = Inst.Add; dst = 3; src1 = reg 1; src2 = reg 2 } ]);
+        (None, [ Inst.Send { target = 0; src = reg 3 } ]);
+        (None, [ Inst.Sleep ]);
+      ]
+  in
+  ignore (ff_same ~n_cores:2 ~mem_size:64 [| c0; c1 |])
+
+let test_ff_start_released () =
+  (* Channel capacity 1: core 0's second SPAWN waits until core 1, asleep
+     again, takes the pending START. *)
+  let c0 =
+    assemble
+      [
+        (None, [ Inst.Spawn { target = 1; entry = "w" } ]);
+        (None, [ Inst.Spawn { target = 1; entry = "w" } ]);
+        (None, [ Inst.Recv { sender = 1; dst = 1; kind = Inst.Rv_data } ]);
+        (None, [ Inst.Recv { sender = 1; dst = 2; kind = Inst.Rv_data } ]);
+        (None, [ Inst.Alu { op = Inst.Add; dst = 3; src1 = reg 1; src2 = reg 2 } ]);
+        (None, [ Inst.Store { base = imm 0; offset = imm 0; src = reg 3 } ]);
+        (None, [ Inst.Halt ]);
+      ]
+  in
+  let c1 =
+    assemble
+      [
+        (Some "w", [ Inst.Alu { op = Inst.Div; dst = 1; src1 = imm 99; src2 = imm 7 } ]);
+        (None, [ Inst.Send { target = 0; src = reg 1 } ]);
+        (None, [ Inst.Sleep ]);
+      ]
+  in
+  ignore
+    (ff_same ~n_cores:2 ~mem_size:64
+       ~tweak:(fun c -> { c with Config.net_capacity = 1 })
+       [| c0; c1 |])
+
 (* --- Energy model ------------------------------------------------------------- *)
 
 module Energy = Voltron_machine.Energy
@@ -659,5 +842,14 @@ let () =
           Alcotest.test_case "multi-hop relay" `Quick test_multi_hop_relay;
           Alcotest.test_case "group stall" `Quick test_lockstep_group_stall;
           Alcotest.test_case "send backpressure" `Quick test_send_backpressure;
+        ] );
+      ( "ff-paths",
+        [
+          Alcotest.test_case "lock-step miss window" `Quick test_ff_lockstep_miss;
+          Alcotest.test_case "send-full low receiver" `Quick
+            test_ff_send_full_low_receiver;
+          Alcotest.test_case "recv woken by send" `Quick test_ff_recv_woken_by_send;
+          Alcotest.test_case "getb after bcast" `Quick test_ff_getb_after_bcast;
+          Alcotest.test_case "start released" `Quick test_ff_start_released;
         ] );
     ]

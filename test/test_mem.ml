@@ -279,6 +279,97 @@ let test_coherence_random =
         trace;
       !ok && match Coherence.check_invariants h with Ok _ -> true | Error _ -> false)
 
+(* The fetch path against a bare cache model: per-core L1I and one L2 as
+   [Cache.t]s driven through [access]/[insert] on every fetch, with the
+   bus (snoop) or home-bank (directory) busy-until times. Instruction
+   lines are clean, so no victim ever writes back. Streams run a few
+   consecutive addresses per visit, so a core often fetches the same line
+   back to back (the fetch-line memo) and tiny caches evict between
+   visits. *)
+type fetch_model = {
+  fm_l1i : Cache.t array;
+  fm_l2 : Cache.t;
+  fm_busy : int array;  (** snoop: slot 0 is the bus; directory: per home *)
+  fm_misses : int array;
+}
+
+let fetch_config protocol ~l1i_sets ~l1i_ways =
+  {
+    Coherence.default_config with
+    Coherence.protocol;
+    l1i_sets;
+    l1i_ways;
+    l2_sets = 2;
+    l2_ways = 2;
+  }
+
+let model_fetch (cfg : Coherence.config) m ~n_cores ~now ~core addr =
+  let line = (1 lsl 40) lor (core lsl 32) lor (addr / cfg.Coherence.line_words) in
+  match Cache.access m.fm_l1i.(core) line with
+  | Some _ -> now + cfg.Coherence.lat_l1
+  | None ->
+    m.fm_misses.(core) <- m.fm_misses.(core) + 1;
+    let slot, occupancy, msg =
+      match cfg.Coherence.protocol with
+      | Coherence.Snoop -> (0, cfg.Coherence.bus_occupancy, 0)
+      | Coherence.Directory ->
+        (line mod n_cores, cfg.Coherence.dir_occupancy, cfg.Coherence.dir_lat_msg)
+    in
+    let start = max now m.fm_busy.(slot) in
+    m.fm_busy.(slot) <- start + occupancy;
+    let duration =
+      match Cache.access m.fm_l2 line with
+      | Some _ -> cfg.Coherence.lat_l2
+      | None ->
+        ignore (Cache.insert m.fm_l2 line Cache.S);
+        cfg.Coherence.lat_mem
+    in
+    ignore (Cache.insert m.fm_l1i.(core) line Cache.S);
+    start + msg + duration
+
+let fetch_case =
+  let open QCheck.Gen in
+  let* protocol = oneofl Coherence.[ Snoop; Directory ] in
+  let* l1i_sets, l1i_ways = oneofl [ (1, 1); (1, 2); (2, 2); (4, 1) ] in
+  let visit = triple (int_bound 3) (int_bound 63) (int_bound 9) in
+  let+ visits = list_size (int_range 1 60) visit in
+  (protocol, l1i_sets, l1i_ways, visits)
+
+let print_fetch_case (protocol, sets, ways, visits) =
+  Printf.sprintf "%s, L1I %d x %d: %s" (Coherence.protocol_name protocol) sets ways
+    (String.concat "; "
+       (List.map (fun (c, a, n) -> Printf.sprintf "core %d @%d x%d" c a (n + 1)) visits))
+
+let test_fetch_memo =
+  QCheck.Test.make ~name:"ifetch matches a bare cache model" ~count:300
+    (QCheck.make ~print:print_fetch_case fetch_case)
+    (fun (protocol, l1i_sets, l1i_ways, visits) ->
+      let n_cores = 4 in
+      let cfg = fetch_config protocol ~l1i_sets ~l1i_ways in
+      let h = Coherence.create cfg ~n_cores in
+      let m =
+        {
+          fm_l1i = Array.init n_cores (fun _ -> Cache.create ~sets:l1i_sets ~ways:l1i_ways);
+          fm_l2 = Cache.create ~sets:cfg.Coherence.l2_sets ~ways:cfg.Coherence.l2_ways;
+          fm_busy = Array.make n_cores 0;
+          fm_misses = Array.make n_cores 0;
+        }
+      in
+      let now = ref 0 in
+      List.for_all
+        (fun (core, addr, extra) ->
+          List.for_all
+            (fun i ->
+              now := !now + 2;
+              let got = Coherence.access h ~now:!now ~core Coherence.Ifetch (addr + i) in
+              got = model_fetch cfg m ~n_cores ~now:!now ~core (addr + i))
+            (List.init (extra + 1) Fun.id))
+        visits
+      && List.for_all
+           (fun core ->
+             (Coherence.stats h ~core).Coherence.l1i_misses = m.fm_misses.(core))
+           (List.init n_cores Fun.id))
+
 (* --- Directory protocol -------------------------------------------------------- *)
 
 (* Hand-computed expectations against the default directory pricing:
@@ -529,6 +620,7 @@ let () =
           Alcotest.test_case "upgrade" `Quick test_coherence_upgrade;
           Alcotest.test_case "ifetch space" `Quick test_coherence_ifetch_separate;
           QCheck_alcotest.to_alcotest test_coherence_random;
+          QCheck_alcotest.to_alcotest test_fetch_memo;
         ] );
       ( "directory",
         [

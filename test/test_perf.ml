@@ -88,8 +88,11 @@ let test_differential () =
 
 (* 16 cores on the directory backend: the densest queue-mode traffic, so
    the network's wake queries (next value, next spawn, broadcast arrival)
-   bound many fast-forward windows. The programs are the suite's most
-   decoupled under the hybrid plan at this size. *)
+   bound many fast-forward windows, and the verdict memo is dropped by
+   the most network events. The programs are the suite's most decoupled
+   under the hybrid plan at this size; ILP runs them coupled across all
+   16 cores, where one core's miss holds the whole group (the lock-step
+   window). *)
 let test_differential_mesh16 () =
   List.iter
     (fun name ->
@@ -102,20 +105,20 @@ let test_differential_mesh16 () =
               program
           in
           check_same label ~fast:(run true) ~slow:(run false))
-        [ (`Hybrid, "hybrid"); (`Tlp, "tlp") ])
+        [ (`Hybrid, "hybrid"); (`Tlp, "tlp"); (`Ilp, "ilp") ])
     [ "164.gzip"; "179.art"; "183.equake"; "256.bzip2"; "epic" ]
 
 (* Per-cycle minor-heap budget, in words. The caches are flat int arrays,
-   the blocker's scoreboard verdicts and the taken-branch target allocate
-   nothing, and the end-of-cycle checks build no closure, so what still
-   allocates is small and bounded: a [W_recv] verdict per core-cycle
-   blocked on a RECV, a [Net.recv]/[Net.get] result per operand received,
-   a victim pair per eviction of a valid line, and TM read/write set
-   entries per transactional access. Measured ~8 on this workload; the
-   budget leaves ~2.5x headroom so a regression that reintroduces per-cycle
-   closures, option results or per-way records fails loudly while normal
-   drift does not. *)
-let alloc_budget_words_per_cycle = 20.0
+   the blocker's verdicts (scoreboard and RECV alike) and the taken-branch
+   target allocate nothing, and the end-of-cycle checks build no closure,
+   so what still allocates is small and bounded: a [Net.recv]/[Net.get]
+   result per operand received, a victim pair per eviction of a valid
+   line, and TM read/write set entries per transactional access. Measured
+   ~1.5 on this workload (~7.7 while each blocked RECV built its [W_recv]
+   verdict); the budget leaves ~3x headroom so a regression that
+   reintroduces per-cycle closures, option results or per-way records
+   fails loudly while normal drift does not. *)
+let alloc_budget_words_per_cycle = 5.0
 
 let test_allocation_budget () =
   let b = Suite.by_name "gsmencode" in
@@ -138,6 +141,33 @@ let test_allocation_budget () =
        per_cycle alloc_budget_words_per_cycle)
     true
     (per_cycle <= alloc_budget_words_per_cycle)
+
+(* The same budget for the fast-forward path: a 16-core directory hybrid
+   run of one mesh16-dir program, fast-forward on (the default) and
+   nothing subscribed. Each run of a group stall is one window, and a
+   blocked core's verdict is memoised until its wake, so most blocked
+   core-cycles never reach the blocker's scan. Measured ~5.3; a RECV
+   verdict built per blocked core-cycle again (~22) fails this. *)
+let ff_budget_words_per_cycle = 12.0
+
+let test_ff_allocation_budget () =
+  let program = (Suite.by_name "164.gzip").Suite.build ~scale:0.5 () in
+  let machine =
+    Config.with_coherence Voltron_mem.Coherence.Directory (Config.default ~n_cores:16)
+  in
+  let compiled = Driver.compile ~machine ~choice:`Hybrid ~check:false program in
+  let m = Machine.create machine compiled.Driver.executable in
+  let before = Gc.minor_words () in
+  let result = Machine.run m in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "run finished" true
+    (result.Machine.outcome = Machine.Finished);
+  let per_cycle = words /. float_of_int result.Machine.cycles in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words/cycle within %.0f" per_cycle
+       ff_budget_words_per_cycle)
+    true
+    (per_cycle <= ff_budget_words_per_cycle)
 
 (* Minor-heap words one [Machine.create] may allocate for the default
    8-core configuration. Each cache is three heap blocks (the L2's large
@@ -196,6 +226,7 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "per-cycle budget" `Quick test_allocation_budget;
+          Alcotest.test_case "fast-forward budget" `Quick test_ff_allocation_budget;
           Alcotest.test_case "Machine.create budget" `Quick test_create_budget;
           Alcotest.test_case "Profile.collect budget" `Quick test_profile_budget;
         ] );

@@ -25,70 +25,42 @@ module Region_profile = Voltron_obs.Region_profile
 module Blame = Voltron_obs.Blame
 module Critpath = Voltron_obs.Critpath
 module Coherence = Voltron_mem.Coherence
+module Run = Voltron.Run
+module Sweep = Voltron.Sweep
 
-let print_diags oc diags =
-  let ppf = Format.formatter_of_out_channel oc in
-  List.iter (fun d -> Format.fprintf ppf "  %a@." Check.pp_diag d) diags;
-  Format.pp_print_flush ppf ()
+(* Diagnostics as an indented block, one per line. *)
+let diag_block pp diags =
+  String.concat "" (List.map (Format.asprintf "  %a@." pp) diags)
 
-(* Run [f], rendering a static-checker failure as a normal CLI error. *)
-let or_check_failure f =
-  try f ()
-  with Check.Failed diags ->
-    prerr_endline "static check failed:";
-    print_diags stderr diags;
-    exit 1
-
-let program_of_name name scale =
-  match name with
-  | "micro:gsm_llp" -> Suite.micro_gsm_llp ~scale ()
-  | "micro:gzip_strands" -> Suite.micro_gzip_strands ~scale ()
-  | "micro:gsm_ilp" -> Suite.micro_gsm_ilp ~scale ()
-  | _ -> (
-    match Suite.by_name name with
-    | b -> b.Suite.build ~scale ()
-    | exception Not_found ->
-      Printf.eprintf
-        "unknown benchmark %s (try `voltron_sim list`, or micro:gsm_llp, \
-         micro:gzip_strands, micro:gsm_ilp)\n"
-        name;
+(* A usage error: the message on stderr, exit 2. *)
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
       exit 2)
+    fmt
 
-(* Every --all sweep's targets: the workload suite plus the micro kernels. *)
-let sweep_targets scale =
-  List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
-  @ [ "micro:gsm_llp"; "micro:gzip_strands"; "micro:gsm_ilp" ]
-  |> List.map (fun n -> (n, program_of_name n scale))
+let or_usage = function Ok x -> x | Error msg -> usage "%s" msg
 
 (* Either a named benchmark or a VC source file. *)
 let resolve_program bench file scale =
   match (bench, file) with
-  | Some name, None -> (name, program_of_name name scale)
+  | Some name, None -> (name, or_usage (Sweep.program_of_name name ~scale))
   | None, Some path -> (
     match Voltron_lang.Frontend.parse_file path with
     | p -> (path, p)
+    | exception Sys_error msg -> usage "%s" msg
     | exception e -> (
       match Voltron_lang.Frontend.error_to_string e with
-      | Some msg ->
-        Printf.eprintf "%s: %s\n" path msg;
-        exit 2
+      | Some msg -> usage "%s: %s" path msg
       | None -> raise e))
-  | Some _, Some _ ->
-    Printf.eprintf "--bench and --file are mutually exclusive\n";
-    exit 2
-  | None, None ->
-    Printf.eprintf "one of --bench or --file is required\n";
-    exit 2
+  | Some _, Some _ -> usage "--bench and --file are mutually exclusive"
+  | None, None -> usage "one of --bench or --file is required"
 
-let choice_of_string = function
-  | "seq" -> `Seq
-  | "ilp" -> `Ilp
-  | "tlp" -> `Tlp
-  | "llp" -> `Llp
-  | "hybrid" -> `Hybrid
-  | s ->
-    Printf.eprintf "unknown strategy %s (seq|ilp|tlp|llp|hybrid)\n" s;
-    exit 2
+let strategy_of_flag s =
+  match Select.choice_of_string s with
+  | Some c -> c
+  | None -> usage "unknown strategy %s (seq|ilp|tlp|llp|hybrid)" s
 
 open Cmdliner
 
@@ -140,27 +112,6 @@ let apply_opts optimize unroll p =
       ~options:{ base with Voltron_compiler.Opt.unroll = max 1 unroll }
       p
 
-let string_of_choice = function
-  | `Seq -> "seq"
-  | `Ilp -> "ilp"
-  | `Tlp -> "tlp"
-  | `Llp -> "llp"
-  | `Hybrid -> "hybrid"
-
-let short_outcome = function
-  | Voltron.Run.Completed -> "completed"
-  | Voltron.Run.Cycle_capped -> "cycle cap"
-  | Voltron.Run.Deadlocked _ -> "deadlock"
-  | Voltron.Run.Fault_limited _ -> "fault limit"
-  | Voltron.Run.Sanity_stopped _ -> "sanitizer stop"
-
-let coherence_of_string s =
-  match Coherence.protocol_of_string s with
-  | Ok p -> p
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
-
 let coherence_arg =
   Arg.(
     value & opt string "snoop"
@@ -183,14 +134,8 @@ let sanitize_arg =
            violation; the default when $(docv) is omitted) or $(b,recover) \
            (stop and degrade through the resilience ladder).")
 
-let sanitize_of_flag = function
-  | None -> None
-  | Some s -> (
-    match Sanity.policy_of_string s with
-    | Ok p -> Some p
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2)
+let sanitize_of_flag =
+  Option.map (fun s -> or_usage (Sanity.policy_of_string s))
 
 let fault_rate_arg =
   Arg.(
@@ -245,8 +190,6 @@ let no_profile_arg =
 let profile_for ~no_profile p =
   if no_profile then Some (Voltron_analysis.Profile.of_static p) else None
 
-module Pool = Voltron_pool.Pool
-
 let jobs_arg =
   Arg.(
     value & opt int 0
@@ -258,113 +201,88 @@ let jobs_arg =
            path. Output is in cell order and byte-identical for every \
            $(docv).")
 
-let resolve_jobs j = if j <= 0 then Pool.default_jobs () else j
-
-(* Sweep cells run on arbitrary domains, so they render their report into
-   a buffer; the pool's ordered completion frontier prints each cell's
-   chunk in cell order, keeping the transcript independent of [jobs]. *)
-let emit_chunk (chunk : string) =
-  print_string chunk;
-  flush stdout
-
 (* Shared by run's normal and --json output: the pieces that only exist on
    some outcomes. *)
-let outcome_json (m : Voltron.Run.measurement) =
+let outcome_json (m : Run.measurement) =
   let diagnosis =
-    match m.Voltron.Run.outcome with
-    | Voltron.Run.Deadlocked d
-    | Voltron.Run.Fault_limited d
-    | Voltron.Run.Sanity_stopped d ->
+    match m.Run.outcome with
+    | Machine.Deadlock d | Machine.Fault_limit d | Machine.Stopped d ->
       [ ("diagnosis", Voltron_obs.Diag.diagnosis_to_json d) ]
-    | Voltron.Run.Completed | Voltron.Run.Cycle_capped -> []
+    | Machine.Finished | Machine.Out_of_cycles -> []
   in
   let sanitizer =
-    match m.Voltron.Run.sanity with
+    match m.Run.sanity with
     | Some r -> [ ("sanitizer", Sanity.report_to_json r) ]
     | None -> []
   in
-  (("outcome", Json.Str (short_outcome m.Voltron.Run.outcome)) :: diagnosis)
+  (("outcome", Json.Str (Machine.outcome_label m.Run.outcome)) :: diagnosis)
   @ sanitizer
 
-let sanity_line (m : Voltron.Run.measurement) =
-  match m.Voltron.Run.sanity with
+let sanity_line (m : Run.measurement) =
+  match m.Run.sanity with
   | None -> ()
   | Some r -> Printf.printf "sanitizer  : %s\n" (Sanity.report_to_string r)
 
-let sanity_clean (m : Voltron.Run.measurement) =
-  match m.Voltron.Run.sanity with None -> true | Some r -> Sanity.clean r
+let sanity_clean (m : Run.measurement) =
+  match m.Run.sanity with None -> true | Some r -> Sanity.clean r
 
 (* run --all: the whole workload suite (plus the micro kernels) under every
-   strategy at the given core count, one line per cell — the CI's sanitized
-   sweep entry point. *)
-let run_sweep ~cores ~coherence ~scale ~check ~sanitize ~no_profile ~jobs () =
-  let targets = sweep_targets scale in
-  let strategies = [ "seq"; "ilp"; "tlp"; "llp"; "hybrid" ] in
-  (* One cell per benchmark: the profile is collected once and shared by
-     the five strategy runs, all inside the cell. *)
-  let cell (name, p) =
-    let buf = Buffer.create 512 in
-    let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let failures = ref 0 in
-    let profile = profile_for ~no_profile p in
-    List.iter
-      (fun s ->
-        let choice = choice_of_string s in
-        let m =
-          Voltron.Run.run ~choice ~check ?profile ?sanitize
-            ~tweak:(Config.with_coherence coherence) ~n_cores:cores p
-        in
-        let ok =
-          m.Voltron.Run.outcome = Voltron.Run.Completed
-          && m.Voltron.Run.verified && sanity_clean m
-        in
-        if not ok then incr failures;
-        out "%-24s %-7s %-10d %s%s%s\n" name s
-          m.Voltron.Run.cycles
-          (short_outcome m.Voltron.Run.outcome)
-          (if m.Voltron.Run.verified then "" else ", NOT VERIFIED")
-          (match m.Voltron.Run.sanity with
-          | None -> ""
-          | Some r when Sanity.clean r -> ", sanitizer clean"
-          | Some r ->
-            Printf.sprintf ", SANITIZER: %d violation(s)" r.Sanity.r_total);
-        match m.Voltron.Run.sanity with
-        | Some r when not (Sanity.clean r) ->
-          List.iter
-            (fun v -> out "    %s\n" (Sanity.violation_to_string v))
-            r.Sanity.r_recorded
-        | _ -> ())
-      strategies;
-    (Buffer.contents buf, !failures)
+   strategy at the given core count, one line per strategy — the CI's
+   sanitized sweep entry point. The profile is collected once per benchmark
+   and shared by its five strategy runs. *)
+let run_cell ~cores ~coherence ~check ~sanitize ~no_profile name p =
+  let buf = Buffer.create 512 in
+  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let profile = profile_for ~no_profile p in
+  let row failures choice =
+    let m =
+      Run.run ~choice ~check ?profile ?sanitize
+        ~tweak:(Config.with_coherence coherence) ~n_cores:cores p
+    in
+    out "%-24s %-7s %-10d %s%s%s\n" name (Select.choice_name choice)
+      m.Run.cycles
+      (Machine.outcome_label m.Run.outcome)
+      (if m.Run.verified then "" else ", NOT VERIFIED")
+      (match m.Run.sanity with
+      | None -> ""
+      | Some r when Sanity.clean r -> ", sanitizer clean"
+      | Some r -> Printf.sprintf ", SANITIZER: %d violation(s)" r.Sanity.r_total);
+    (match m.Run.sanity with
+    | Some r when not (Sanity.clean r) ->
+      List.iter
+        (fun v -> out "    %s\n" (Sanity.violation_to_string v))
+        r.Sanity.r_recorded
+    | _ -> ());
+    if Run.completed m && m.Run.verified && sanity_clean m then failures
+    else failures + 1
   in
-  let per_target =
-    Pool.parallel_map_emit ~jobs
-      ~emit:(fun _ (chunk, _) -> emit_chunk chunk)
-      cell (Array.of_list targets)
-  in
-  let failures = Array.fold_left (fun acc (_, f) -> acc + f) 0 per_target in
-  if failures > 0 then begin
-    Printf.eprintf "%d failing cell(s) in the sweep\n" failures;
-    exit 1
-  end
+  let failures = List.fold_left row 0 Run.default_strategies in
+  { Sweep.out = Buffer.contents buf; errs = []; failures; value = () }
 
 let run_cmd =
   let run bench file all cores coherence_s strategy scale optimize unroll
       fault_rate fault_seed fault_threshold no_check no_profile sanitize_s
       json_out jobs =
-    or_check_failure @@ fun () ->
     let check = not no_check in
     let sanitize = sanitize_of_flag sanitize_s in
-    let coherence = coherence_of_string coherence_s in
-    if all then
-      run_sweep ~cores ~coherence ~scale ~check ~sanitize ~no_profile
-        ~jobs:(resolve_jobs jobs) ()
+    let coherence = or_usage (Coherence.protocol_of_string coherence_s) in
+    if all then begin
+      let _, failures =
+        Sweep.run ~sinks:Sweep.stdio ~jobs
+          (run_cell ~cores ~coherence ~check ~sanitize ~no_profile)
+          (Sweep.targets ~scale)
+      in
+      if failures > 0 then begin
+        Printf.eprintf "%d failing cell(s) in the sweep\n" failures;
+        exit 1
+      end
+    end
     else begin
       let name, p = resolve_program bench file scale in
       let p = apply_opts optimize unroll p in
-      let choice = choice_of_string strategy in
+      let choice = strategy_of_flag strategy in
       let profile = profile_for ~no_profile p in
-      let base = Voltron.Run.baseline_cycles ?profile p in
+      let base = Run.baseline_cycles ?profile p in
       Printf.printf "benchmark  : %s\n" name;
       Printf.printf "strategy   : %s on %d cores%s\n" strategy cores
         (if no_profile then " (static profile)" else "");
@@ -388,7 +306,7 @@ let run_cmd =
               }
           in
           let r =
-            Voltron.Run.run_resilient ~choice ~check ?profile ~tweak ?sanitize
+            Run.run_resilient ~choice ~check ?profile ~tweak ?sanitize
               ~n_cores:cores p
           in
           Printf.printf "faults     : every kind at rate %g, seed %d%s\n"
@@ -397,17 +315,17 @@ let run_cmd =
                Printf.sprintf ", degrade after %d" fault_threshold
              else "");
           List.iter
-            (fun (a : Voltron.Run.attempt) ->
+            (fun (a : Run.attempt) ->
               Printf.printf "  rung     : %-14s %s on %d cores -> %s\n"
-                (Voltron_fault.Fault.level_name a.Voltron.Run.a_level)
-                (string_of_choice a.Voltron.Run.a_choice)
-                a.Voltron.Run.a_n_cores
-                (short_outcome a.Voltron.Run.a_measurement.Voltron.Run.outcome))
-            r.Voltron.Run.attempts;
-          r.Voltron.Run.final
+                (Voltron_fault.Fault.level_name a.Run.a_level)
+                (Select.choice_name a.Run.a_choice)
+                a.Run.a_n_cores
+                (Machine.outcome_label a.Run.a_measurement.Run.outcome))
+            r.Run.attempts;
+          r.Run.final
         end
         else
-          Voltron.Run.run ~choice ~check ?profile ?sanitize
+          Run.run ~choice ~check ?profile ?sanitize
             ~tweak:(Config.with_coherence coherence)
             ~sanitize_log:prerr_endline ~n_cores:cores p
       in
@@ -416,9 +334,8 @@ let run_cmd =
         | None -> ()
         | Some path ->
           let metrics =
-            Metrics.of_stats ~label:name ~cycles:m.Voltron.Run.cycles
-              ~coherence:m.Voltron.Run.coh_stats ~network:m.Voltron.Run.net_stats
-              m.Voltron.Run.stats
+            Metrics.of_stats ~label:name ~cycles:m.Run.cycles
+              ~coherence:m.Run.coh_stats ~network:m.Run.net_stats m.Run.stats
           in
           Json.write_file path
             (Json.Obj
@@ -430,33 +347,33 @@ let run_cmd =
                   ("baseline_cycles", Json.Int base);
                   ( "speedup",
                     Json.Float
-                      (float_of_int base /. float_of_int m.Voltron.Run.cycles)
+                      (float_of_int base /. float_of_int m.Run.cycles)
                   );
-                  ("verified", Json.Bool m.Voltron.Run.verified);
+                  ("verified", Json.Bool m.Run.verified);
                 ]
                @ outcome_json m
                @ [ ("metrics", Metrics.to_json metrics) ]));
           Printf.printf "json       : wrote %s\n" path
       in
-      (match m.Voltron.Run.outcome with
-      | Voltron.Run.Completed -> ()
+      (match m.Run.outcome with
+      | Machine.Finished -> ()
       | o ->
-        Printf.eprintf "%s\n" (Voltron.Run.outcome_to_string o);
+        prerr_endline (Machine.outcome_to_string o);
         sanity_line m;
         write_json ();
         exit 1);
       Printf.printf "verified   : %b (memory matches the reference interpreter)\n"
-        m.Voltron.Run.verified;
+        m.Run.verified;
       sanity_line m;
       Printf.printf "baseline   : %d cycles (1 core, sequential)\n" base;
-      Printf.printf "cycles     : %d\n" m.Voltron.Run.cycles;
+      Printf.printf "cycles     : %d\n" m.Run.cycles;
       Printf.printf "speedup    : %.2fx\n"
-        (float_of_int base /. float_of_int m.Voltron.Run.cycles);
-      Stats.pp_summary ~coherence:m.Voltron.Run.coh_stats
-        ~network:m.Voltron.Run.net_stats Format.std_formatter m.Voltron.Run.stats;
-      Format.printf "%a@." Voltron_machine.Energy.pp m.Voltron.Run.energy;
+        (float_of_int base /. float_of_int m.Run.cycles);
+      Stats.pp_summary ~coherence:m.Run.coh_stats
+        ~network:m.Run.net_stats Format.std_formatter m.Run.stats;
+      Format.printf "%a@." Voltron_machine.Energy.pp m.Run.energy;
       write_json ();
-      if not (m.Voltron.Run.verified && sanity_clean m) then exit 1
+      if not (m.Run.verified && sanity_clean m) then exit 1
     end
   in
   let all_arg =
@@ -519,69 +436,48 @@ let check_diag_json (d : Check.diag) =
 let check_cmd =
   let check bench file all cores strategy scale json_out jobs =
     let targets =
-      if all then sweep_targets scale else [ resolve_program bench file scale ]
+      if all then Sweep.targets ~scale else [ resolve_program bench file scale ]
     in
     let strategies =
-      if all then [ "seq"; "ilp"; "tlp"; "llp"; "hybrid" ] else [ strategy ]
+      if all then Run.default_strategies else [ strategy_of_flag strategy ]
     in
     let machine = Config.default ~n_cores:cores in
-    let cell (name, p) =
+    let cell name p =
       let buf = Buffer.create 256 in
       let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      let out_diags diags =
-        let b = Buffer.create 128 in
-        let ppf = Format.formatter_of_buffer b in
-        List.iter (fun d -> Format.fprintf ppf "  %a@." Check.pp_diag d) diags;
-        Format.pp_print_flush ppf ();
-        Buffer.add_buffer buf b
+      let row choice =
+        let s = Select.choice_name choice in
+        let json status diags =
+          Json.Obj
+            [
+              ("benchmark", Json.Str name);
+              ("strategy", Json.Str s);
+              ("status", Json.Str status);
+              ("diagnostics", Json.List (List.map check_diag_json diags));
+            ]
+        in
+        match Driver.compile ~machine ~choice p with
+        | { Driver.check_diags = []; _ } ->
+          out "%-24s %-7s clean\n" name s;
+          (0, json "clean" [])
+        | { Driver.check_diags = diags; _ } ->
+          out "%-24s %-7s %d warning(s)\n%s" name s (List.length diags)
+            (diag_block Check.pp_diag diags);
+          (0, json "warnings" diags)
+        | exception Check.Failed diags ->
+          out "%-24s %-7s FAILED\n%s" name s (diag_block Check.pp_diag diags);
+          (1, json "failed" diags)
       in
-      let failures = ref 0 in
-      let cells = ref [] in
-      List.iter
-        (fun s ->
-          let choice = choice_of_string s in
-          let record status diags =
-            cells :=
-              Json.Obj
-                [
-                  ("benchmark", Json.Str name);
-                  ("strategy", Json.Str s);
-                  ("status", Json.Str status);
-                  ("diagnostics", Json.List (List.map check_diag_json diags));
-                ]
-              :: !cells
-          in
-          match Driver.compile ~machine ~choice p with
-          | c ->
-            if c.Driver.check_diags = [] then begin
-              record "clean" [];
-              out "%-24s %-7s clean\n" name s
-            end
-            else begin
-              record "warnings" c.Driver.check_diags;
-              out "%-24s %-7s %d warning(s)\n" name s
-                (List.length c.Driver.check_diags);
-              out_diags c.Driver.check_diags
-            end
-          | exception Check.Failed diags ->
-            incr failures;
-            record "failed" diags;
-            out "%-24s %-7s FAILED\n" name s;
-            out_diags diags)
-        strategies;
-      (Buffer.contents buf, !failures, List.rev !cells)
+      let rows = List.map row strategies in
+      {
+        Sweep.out = Buffer.contents buf;
+        errs = [];
+        failures = List.fold_left (fun acc (f, _) -> acc + f) 0 rows;
+        value = List.map snd rows;
+      }
     in
-    let per_target =
-      Pool.parallel_map_emit ~jobs:(if all then resolve_jobs jobs else 1)
-        ~emit:(fun _ (chunk, _, _) -> emit_chunk chunk)
-        cell (Array.of_list targets)
-    in
-    let failures =
-      Array.fold_left (fun acc (_, f, _) -> acc + f) 0 per_target
-    in
-    let cells =
-      List.concat_map (fun (_, _, cs) -> cs) (Array.to_list per_target)
-    in
+    let cells, failures = Sweep.run ~sinks:Sweep.stdio ~jobs cell targets in
+    let cells = List.concat cells in
     (match json_out with
     | None -> ()
     | Some path ->
@@ -617,32 +513,13 @@ let check_cmd =
 
 let disasm_cmd =
   let disasm bench file cores strategy scale =
-    or_check_failure @@ fun () ->
     let _, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
-    let compiled = Driver.compile ~machine ~choice:(choice_of_string strategy) p in
+    let compiled = Driver.compile ~machine ~choice:(strategy_of_flag strategy) p in
     Format.printf "%a" Voltron_isa.Program.pp compiled.Driver.executable
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble the generated per-core code.")
     Term.(const disasm $ bench_arg $ file_arg $ cores_arg $ strategy_arg $ scale_arg)
-
-(* Why a raw machine run did not finish, as the failure text on stderr;
-   [None] when it finished. *)
-let run_outcome_err (result : Machine.result) =
-  match result.Machine.outcome with
-  | Machine.Finished -> None
-  | Machine.Out_of_cycles -> Some "out of cycles"
-  | Machine.Deadlock d -> Some ("deadlock:\n" ^ Machine.diagnosis_to_string d)
-  | Machine.Fault_limit d ->
-    Some ("fault limit reached:\n" ^ Machine.diagnosis_to_string d)
-  | Machine.Stopped d -> Some ("stopped:\n" ^ Machine.diagnosis_to_string d)
-
-let exit_on_failure result =
-  match run_outcome_err result with
-  | None -> ()
-  | Some e ->
-    prerr_endline e;
-    exit 1
 
 let asm_cmd =
   let asm file cores =
@@ -650,13 +527,15 @@ let asm_cmd =
       match Voltron_isa.Asm.parse_file file with
       | p -> p
       | exception Voltron_isa.Asm.Error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" file line msg;
-        exit 2
+        usage "%s:%d: %s" file line msg
     in
     let machine = Config.default ~n_cores:cores in
     let m = Machine.create machine prog in
     let result = Machine.run m in
-    exit_on_failure result;
+    if result.Machine.outcome <> Machine.Finished then begin
+      prerr_endline (Machine.outcome_to_string result.Machine.outcome);
+      exit 1
+    end;
     Printf.printf "finished in %d cycles\n" result.Machine.cycles;
     Stats.pp_summary
       ~coherence:(Coherence.total_stats (Machine.coherence m))
@@ -683,16 +562,16 @@ let asm_cmd =
 
 let trace_cmd =
   let trace bench file cores strategy scale limit timeline json_out =
-    or_check_failure @@ fun () ->
     let _, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
-    let compiled = Driver.compile ~machine ~choice:(choice_of_string strategy) p in
+    let compiled = Driver.compile ~machine ~choice:(strategy_of_flag strategy) p in
     let m = Machine.create machine compiled.Driver.executable in
     let tracer = Voltron_machine.Trace.create ~limit () in
     Machine.set_tracer m tracer;
     let result = Machine.run m in
-    let failure = run_outcome_err result in
-    Option.iter prerr_endline failure;
+    let finished = result.Machine.outcome = Machine.Finished in
+    if not finished then
+      prerr_endline (Machine.outcome_to_string result.Machine.outcome);
     Voltron_machine.Trace.report ~timeline Format.std_formatter tracer
       compiled.Driver.executable;
     (match json_out with
@@ -701,7 +580,7 @@ let trace_cmd =
       Voltron_obs.Chrome_trace.write ~path ~n_cores:cores
         ~cycles:result.Machine.cycles tracer;
       Printf.printf "wrote Chrome trace to %s (open in chrome://tracing)\n" path);
-    if failure <> None then exit 1
+    if not finished then exit 1
   in
   let limit_arg =
     Arg.(value & opt int 100_000 & info [ "limit" ] ~docv:"N" ~doc:"Events to keep.")
@@ -728,10 +607,9 @@ let trace_cmd =
 let profile_cmd =
   let profile bench file cores strategy scale sample_every show_metrics
       json_out =
-    or_check_failure @@ fun () ->
     let name, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
-    let compiled = Driver.compile ~machine ~choice:(choice_of_string strategy) p in
+    let compiled = Driver.compile ~machine ~choice:(strategy_of_flag strategy) p in
     let m = Machine.create machine compiled.Driver.executable in
     let rp = Voltron_obs.Region_profile.attach m compiled in
     let sampler =
@@ -740,7 +618,10 @@ let profile_cmd =
       else None
     in
     let result = Machine.run m in
-    exit_on_failure result;
+    if result.Machine.outcome <> Machine.Finished then begin
+      prerr_endline (Machine.outcome_to_string result.Machine.outcome);
+      exit 1
+    end;
     Printf.printf "benchmark  : %s\n" name;
     Printf.printf "strategy   : %s on %d cores\n" strategy cores;
     Printf.printf "cycles     : %d\n\n" result.Machine.cycles;
@@ -824,27 +705,17 @@ let blame_cmd =
     (b, Machine.run m)
   in
   let measure ~cores ~choice ~tweak p =
-    let machine = tweak (Config.default ~n_cores:cores) in
-    let compiled = Driver.compile ~machine ~choice p in
-    let m = Machine.create machine compiled.Driver.executable in
-    let result = Machine.run m in
-    match result.Machine.outcome with
-    | Machine.Finished -> Some result.Machine.cycles
-    | _ -> None
+    let m = Run.run ~choice ~tweak ~n_cores:cores p in
+    if Run.completed m then Some m.Run.cycles else None
   in
   let blame bench file cores strategy scale all top net_scale validate tm_rate
       fault_seed json_out jobs =
-    or_check_failure @@ fun () ->
-    let choice = choice_of_string strategy in
-    (* [err] records one failure line; cells buffer these so the sweep can
-       run on the pool and still report in cell order. *)
+    let choice = strategy_of_flag strategy in
+    (* [err] records one failure line of the cell. *)
     let analyze ~err name p =
       let b, result = run_with_blame ~cores ~choice ~tweak:(fun c -> c) p in
-      match run_outcome_err result with
-      | Some e ->
-        err (Printf.sprintf "%s: %s" name e);
-        None
-      | None ->
+      match result.Machine.outcome with
+      | Machine.Finished ->
         (match Blame.coverage b with
         | Ok () -> ()
         | Error e -> err (Printf.sprintf "%s: blame recording hole: %s" name e));
@@ -857,6 +728,9 @@ let blame_cmd =
                 %d-cycle run"
                name rep.Critpath.r_path rep.Critpath.r_cycles);
         Some (rep, cp)
+      | o ->
+        err (Printf.sprintf "%s: %s" name (Machine.outcome_to_string o));
+        None
     in
     (* Predicted speedups come from rescaling edges along the recorded
        critical path; measured ones from reruns whose configuration actually
@@ -894,11 +768,8 @@ let blame_cmd =
             }
           in
           let b_f, r_f = run_with_blame ~cores ~choice ~tweak p in
-          match run_outcome_err r_f with
-          | Some e ->
-            err (Printf.sprintf "%s (tm injection): %s" name e);
-            None
-          | None ->
+          match r_f.Machine.outcome with
+          | Machine.Finished ->
             let cp_f = Critpath.compute b_f in
             let injected = Critpath.total cp_f in
             let predicted = Critpath.whatif_tm cp_f in
@@ -906,6 +777,11 @@ let blame_cmd =
               ( Printf.sprintf "tm-aborts %g->0" tm_rate,
                 float_of_int injected /. float_of_int (max 1 predicted),
                 float_of_int injected /. float_of_int base )
+          | o ->
+            err
+              (Printf.sprintf "%s (tm injection): %s" name
+                 (Machine.outcome_to_string o));
+            None
         end
       in
       match List.filter_map Fun.id [ net_row; tm_row ] with
@@ -927,45 +803,33 @@ let blame_cmd =
                 rows)
           ^ "\n")
     in
-    let write_json reports =
-      match json_out with
-      | None -> ()
-      | Some path ->
-        Json.write_file path
-          (Json.Obj
-             [
-               ( "reports",
-                 Json.List (List.map Critpath.report_to_json reports) );
-             ]);
-        Printf.printf "wrote blame JSON to %s\n" path
+    (* Without --all, the one program is a one-cell sweep that also prints
+       its full report. *)
+    let cell name p =
+      let out_buf = Buffer.create 256 and errs = ref [] in
+      let out s = Buffer.add_string out_buf s in
+      let err s = errs := s :: !errs in
+      let rep =
+        match analyze ~err name p with
+        | None -> None
+        | Some (rep, cp) ->
+          if not all then out (Format.asprintf "%a" (Critpath.pp_report ~top) rep);
+          if validate then validate_whatifs ~out ~err name p cp;
+          Some rep
+      in
+      {
+        Sweep.out = Buffer.contents out_buf;
+        errs = List.rev !errs;
+        failures = List.length !errs;
+        value = rep;
+      }
     in
-    let failed = ref false in
+    let targets =
+      if all then Sweep.targets ~scale else [ resolve_program bench file scale ]
+    in
+    let reps, failures = Sweep.run ~sinks:Sweep.stdio ~jobs cell targets in
+    let reps = List.filter_map Fun.id reps in
     if all then begin
-      let progs = sweep_targets scale in
-      let cell (name, p) =
-        let out_buf = Buffer.create 256 and errs = ref [] in
-        let out s = Buffer.add_string out_buf s in
-        let err s = errs := s :: !errs in
-        let rep =
-          match analyze ~err name p with
-          | None -> None
-          | Some (rep, cp) ->
-            if validate then validate_whatifs ~out ~err name p cp;
-            Some rep
-        in
-        (Buffer.contents out_buf, List.rev !errs, rep)
-      in
-      let per_target =
-        Pool.parallel_map_emit ~jobs:(resolve_jobs jobs)
-          ~emit:(fun _ (chunk, errs, _) ->
-            emit_chunk chunk;
-            List.iter (fun e -> Printf.eprintf "%s\n" e) errs;
-            if errs <> [] then failed := true)
-          cell (Array.of_list progs)
-      in
-      let reps =
-        List.filter_map (fun (_, _, rep) -> rep) (Array.to_list per_target)
-      in
       let wf (r : Critpath.report) i =
         match List.nth_opt r.Critpath.r_whatif i with
         | Some w -> Printf.sprintf "x%.2f" w.Critpath.w_speedup
@@ -995,23 +859,16 @@ let blame_cmd =
                   wf r 0;
                   wf r 1;
                 ])
-              reps));
-      write_json reps
-    end
-    else begin
-      let name, p = resolve_program bench file scale in
-      let err s =
-        Printf.eprintf "%s\n" s;
-        failed := true
-      in
-      match analyze ~err name p with
-      | None -> ()
-      | Some (rep, cp) ->
-        Format.printf "%a" (Critpath.pp_report ~top) rep;
-        if validate then validate_whatifs ~out:print_string ~err name p cp;
-        write_json [ rep ]
+              reps))
     end;
-    if !failed then exit 1
+    (match json_out with
+    | Some path when all || reps <> [] ->
+      Json.write_file path
+        (Json.Obj
+           [ ("reports", Json.List (List.map Critpath.report_to_json reps)) ]);
+      Printf.printf "wrote blame JSON to %s\n" path
+    | _ -> ());
+    if failures > 0 then exit 1
   in
   let all_arg =
     Arg.(
@@ -1072,12 +929,6 @@ let absint_diag_json (d : Absint.diag) =
       ("text", Json.Str (Absint.diag_to_string d));
     ]
 
-let print_absint_diags diags =
-  List.iter
-    (fun d -> Format.printf "  %a@." Absint.pp_diag d)
-    diags;
-  Format.pp_print_flush Format.std_formatter ()
-
 (* Estimated cycles of one region under each mode family (None when the
    mode does not apply — no legal DOALL decomposition). *)
 let region_mode_estimates ~machine ~profile est (pr : Select.planned_region) =
@@ -1103,91 +954,78 @@ let region_mode_estimates ~machine ~profile est (pr : Select.planned_region) =
 let noise_floor = 64.
 
 let analyze_sweep ~machine ~cores ~scale ~json_out ~jobs () =
-  let targets = sweep_targets scale in
-  (* One cell per benchmark: analysis, hybrid run, per-region reconcile.
-     Geomean inputs, JSON rows and printed chunks are all reassembled in
-     benchmark order, so the report is identical at any [jobs]. *)
-  let cell (name, p) =
+  (* One cell per benchmark: analysis, hybrid run, per-region reconcile. *)
+  let cell name p =
     let buf = Buffer.create 512 in
     let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     let summary = Absint.analyze p in
     let diags = Absint.diags summary in
-    if diags <> [] then begin
-      out "%s: %d diagnostic(s)\n" name (List.length diags);
-      let b = Buffer.create 128 in
-      let ppf = Format.formatter_of_buffer b in
-      List.iter (fun d -> Format.fprintf ppf "  %a@." Absint.pp_diag d) diags;
-      Format.pp_print_flush ppf ();
-      Buffer.add_buffer buf b
-    end;
-    let diag_jsons = List.map absint_diag_json diags in
+    if diags <> [] then
+      out "%s: %d diagnostic(s)\n%s" name (List.length diags)
+        (diag_block Absint.pp_diag diags);
     let est = Estimate.create ~machine ~summary p in
     let compiled = Driver.compile ~machine ~choice:`Hybrid p in
     let m = Machine.create machine compiled.Driver.executable in
     let rp = Region_profile.attach m compiled in
     let result = Machine.run m in
+    let measured region =
+      List.fold_left
+        (fun acc (r : Region_profile.row) ->
+          if r.Region_profile.r_region = region then
+            acc + r.Region_profile.r_cycles
+          else acc)
+        0 (Region_profile.rows rp)
+    in
+    (* One JSON row per region, and the log error of each counted one. *)
+    let row (er : Estimate.row) =
+      let meas =
+        float_of_int (measured er.Estimate.e_region) /. float_of_int cores
+      in
+      let ratio = if meas > 0. then er.Estimate.e_cycles /. meas else 0. in
+      let counted = meas >= noise_floor && er.Estimate.e_cycles > 0. in
+      out "%-24s %-14s %-8s static %10.0f  measured %10.0f  ratio %5.2f%s\n"
+        name er.Estimate.e_region er.Estimate.e_strategy er.Estimate.e_cycles
+        meas ratio
+        (if counted then "" else "  (below noise floor, excluded)");
+      ( Json.Obj
+          [
+            ("benchmark", Json.Str name);
+            ("region", Json.Str er.Estimate.e_region);
+            ("strategy", Json.Str er.Estimate.e_strategy);
+            ("static_cycles", Json.Float er.Estimate.e_cycles);
+            ("measured_cycles", Json.Float meas);
+            ("ratio", Json.Float ratio);
+            ("counted", Json.Bool counted);
+          ],
+        if counted then [ abs_float (log ratio) ] else [] )
+    in
     match result.Machine.outcome with
     | Machine.Finished ->
-      let measured region =
-        List.fold_left
-          (fun acc (r : Region_profile.row) ->
-            if r.Region_profile.r_region = region then
-              acc + r.Region_profile.r_cycles
-            else acc)
-          0
-          (Region_profile.rows rp)
+      let rows, errs =
+        List.split (List.map row (Estimate.table est compiled.Driver.plan))
       in
-      let rows = ref [] and errs = ref [] in
-      List.iter
-        (fun (er : Estimate.row) ->
-          let meas =
-            float_of_int (measured er.Estimate.e_region) /. float_of_int cores
-          in
-          let ratio = if meas > 0. then er.Estimate.e_cycles /. meas else 0. in
-          let counted = meas >= noise_floor && er.Estimate.e_cycles > 0. in
-          out
-            "%-24s %-14s %-8s static %10.0f  measured %10.0f  ratio %5.2f%s\n"
-            name er.Estimate.e_region er.Estimate.e_strategy
-            er.Estimate.e_cycles meas ratio
-            (if counted then "" else "  (below noise floor, excluded)");
-          if counted then errs := abs_float (log ratio) :: !errs;
-          rows :=
-            Json.Obj
-              [
-                ("benchmark", Json.Str name);
-                ("region", Json.Str er.Estimate.e_region);
-                ("strategy", Json.Str er.Estimate.e_strategy);
-                ("static_cycles", Json.Float er.Estimate.e_cycles);
-                ("measured_cycles", Json.Float meas);
-                ("ratio", Json.Float ratio);
-                ("counted", Json.Bool counted);
-              ]
-            :: !rows)
-        (Estimate.table est compiled.Driver.plan);
-      Ok (Buffer.contents buf, diag_jsons, List.rev !rows, List.rev !errs)
-    | _ -> Error (Buffer.contents buf, name)
+      {
+        Sweep.out = Buffer.contents buf;
+        errs = [];
+        failures = 0;
+        value = (List.map absint_diag_json diags, rows, List.concat errs);
+      }
+    | _ ->
+      {
+        Sweep.out = Buffer.contents buf;
+        errs = [ name ^ ": hybrid run did not finish" ];
+        failures = 1;
+        value = ([], [], []);
+      }
   in
-  let fatal = ref false in
-  let per_target =
-    Pool.parallel_map_emit ~jobs
-      ~emit:(fun _ r ->
-        match r with
-        | Ok (chunk, _, _, _) -> emit_chunk chunk
-        | Error (chunk, name) ->
-          emit_chunk chunk;
-          Printf.eprintf "%s: hybrid run did not finish\n" name;
-          fatal := true)
-      cell (Array.of_list targets)
+  let results, failures =
+    Sweep.run ~sinks:Sweep.stdio ~jobs cell (Sweep.targets ~scale)
   in
-  if !fatal then exit 1;
-  let results =
-    List.filter_map (function Ok r -> Some r | Error _ -> None)
-      (Array.to_list per_target)
-  in
-  let all_diags = List.concat_map (fun (_, d, _, _) -> d) results in
+  if failures > 0 then exit 1;
+  let all_diags = List.concat_map (fun (d, _, _) -> d) results in
   let diag_count = List.length all_diags in
-  let rows = List.concat_map (fun (_, _, r, _) -> r) results in
-  let errs = List.concat_map (fun (_, _, _, e) -> e) results in
+  let rows = List.concat_map (fun (_, r, _) -> r) results in
+  let errs = List.concat_map (fun (_, _, e) -> e) results in
   let geo =
     match errs with
     | [] -> 1.
@@ -1215,18 +1053,15 @@ let analyze_sweep ~machine ~cores ~scale ~json_out ~jobs () =
 
 let analyze_cmd =
   let analyze bench file all cores scale json_out jobs =
-    or_check_failure @@ fun () ->
     let machine = Config.default ~n_cores:cores in
-    if all then
-      analyze_sweep ~machine ~cores ~scale ~json_out ~jobs:(resolve_jobs jobs)
-        ()
+    if all then analyze_sweep ~machine ~cores ~scale ~json_out ~jobs ()
     else begin
       let name, p = resolve_program bench file scale in
       let summary = Absint.analyze p in
       let diags = Absint.diags summary in
       Printf.printf "benchmark  : %s\n" name;
       Printf.printf "diagnostics: %d\n" (List.length diags);
-      print_absint_diags diags;
+      print_string (diag_block Absint.pp_diag diags);
       let est = Estimate.create ~machine ~summary p in
       let profile = Estimate.static_profile est in
       let plan = Select.plan ~machine ~profile `Hybrid p in
@@ -1308,7 +1143,7 @@ let fuzz_cmd =
     let strategies =
       match strategies with
       | "" -> None
-      | s -> Some (List.map choice_of_string (String.split_on_char ',' s))
+      | s -> Some (List.map strategy_of_flag (String.split_on_char ',' s))
     in
     let coherence =
       match coherence_s with
@@ -1316,7 +1151,7 @@ let fuzz_cmd =
       | s ->
         Some
           (List.map
-             (fun p -> coherence_of_string (String.trim p))
+             (fun p -> or_usage (Coherence.protocol_of_string (String.trim p)))
              (String.split_on_char ',' s))
     in
     let cores =
@@ -1328,9 +1163,7 @@ let fuzz_cmd =
              (fun c ->
                match int_of_string_opt (String.trim c) with
                | Some n when n > 0 -> n
-               | _ ->
-                 Printf.eprintf "bad core count %s\n" c;
-                 exit 2)
+               | _ -> usage "bad core count %s" c)
              (String.split_on_char ',' s))
     in
     let on_program =
@@ -1347,7 +1180,7 @@ let fuzz_cmd =
     let report =
       Voltron_gen.Campaign.run ?strategies ?cores ?coherence ?sanitize ~size
         ~minimize_findings:(not no_minimize) ~on_program ~log:print_endline
-        ~jobs:(resolve_jobs jobs) ~index ~seed ~count ()
+        ~jobs:(Sweep.jobs jobs) ~index ~seed ~count ()
     in
     Printf.printf
       "fuzz: %d program(s), %d simulation(s), %d checker warning(s), %d \
@@ -1457,19 +1290,29 @@ let () =
     Cmd.info "voltron_sim" ~version:"1.0"
       ~doc:"Voltron dual-mode multicore simulator and compiler"
   in
-  exit
-    (Cmd.eval ~term_err:2
-       (Cmd.group info
-          [
-            run_cmd;
-            plan_cmd;
-            profile_cmd;
-            blame_cmd;
-            analyze_cmd;
-            check_cmd;
-            disasm_cmd;
-            asm_cmd;
-            trace_cmd;
-            fuzz_cmd;
-            list_cmd;
-          ]))
+  (* The one exception rule: a static-check failure and any other escaped
+     exception both exit 1, so no run ends in cmdliner's exit 125. *)
+  match
+    Cmd.eval ~catch:false ~term_err:2
+      (Cmd.group info
+         [
+           run_cmd;
+           plan_cmd;
+           profile_cmd;
+           blame_cmd;
+           analyze_cmd;
+           check_cmd;
+           disasm_cmd;
+           asm_cmd;
+           trace_cmd;
+           fuzz_cmd;
+           list_cmd;
+         ])
+  with
+  | code -> exit code
+  | exception Check.Failed diags ->
+    prerr_string ("static check failed:\n" ^ diag_block Check.pp_diag diags);
+    exit 1
+  | exception e ->
+    prerr_endline ("internal error: " ^ Printexc.to_string e);
+    exit 1

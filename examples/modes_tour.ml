@@ -73,9 +73,7 @@ let () =
   let result = Machine.run machine in
   (match result.Machine.outcome with
   | Machine.Finished -> ()
-  | Machine.Out_of_cycles -> failwith "ran out of cycles"
-  | Machine.Deadlock d | Machine.Fault_limit d | Machine.Stopped d ->
-    failwith (Machine.diagnosis_to_string d));
+  | o -> failwith (Machine.outcome_to_string o));
   let answer = Voltron_mem.Memory.read (Machine.memory machine) 0 in
   Printf.printf "finished in %d cycles; mem[0] = %d (expected 42)\n"
     result.Machine.cycles answer;

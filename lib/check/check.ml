@@ -155,6 +155,14 @@ let has_errors diags = errors diags <> []
 
 exception Failed of diag list
 
+let () =
+  Printexc.register_printer (function
+    | Failed diags ->
+      Some
+        ("static check failed: "
+        ^ String.concat "; " (List.map diag_to_string diags))
+    | _ -> None)
+
 (* ------------------------------------------------------------------ *)
 (* Partition-side region summary (recorded by Codegen) *)
 

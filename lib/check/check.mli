@@ -85,7 +85,9 @@ val has_errors : diag list -> bool
 
 exception Failed of diag list
 (** Raised by the compiler driver's post-codegen gate when the checker
-    finds errors; carries the full diagnostic list (warnings included). *)
+    finds errors; carries the full diagnostic list (warnings included).
+    [Printexc.to_string] renders it as ["static check failed: "] and the
+    diagnostics, one line. *)
 
 (** {1 Partition-side region summaries}
 

@@ -131,15 +131,9 @@ let emit_solo t core stmts =
   let cfg = Lower.region t.lctx stmts in
   let memdep = Memdep.create ~region_stmts:stmts cfg in
   let dg = Depgraph.build ~cfg ~memdep ~latency:Config.latency in
-  let partition =
-    {
-      Partition.core_of = Array.make (Array.length dg.Depgraph.ops) core;
-      participants = [ core ];
-    }
-  in
   let sched =
-    Sched.schedule_region ~machine:t.machine ~cfg ~dg ~partition
-      ~mode:Inst.Decoupled
+    Sched.schedule_region ~machine:t.machine ~cfg ~dg
+      ~partition:(Partition.solo ~core ~dg) ~mode:Inst.Decoupled
   in
   emit_blocks t core cfg sched.Sched.block_code.(core)
 

@@ -64,18 +64,10 @@ let compile ~machine ?(choice = `Hybrid) ?(check = true) ?(static_profile = fals
     check_diags;
   }
 
-let compile_baseline p =
-  compile ~machine:(Config.default ~n_cores:1) ~choice:`Seq p
-
 let verify machine compiled =
   let m = Machine.create machine compiled.executable in
   let result = Machine.run m in
   match result.Machine.outcome with
-  | Machine.Out_of_cycles -> Error "out of cycles"
-  | Machine.Deadlock d -> Error ("deadlock: " ^ Machine.diagnosis_to_string d)
-  | Machine.Fault_limit d ->
-    Error ("fault limit reached: " ^ Machine.diagnosis_to_string d)
-  | Machine.Stopped d -> Error ("stopped: " ^ Machine.diagnosis_to_string d)
   | Machine.Finished ->
     let sum =
       Voltron_mem.Memory.checksum_prefix (Machine.memory m)
@@ -86,3 +78,4 @@ let verify machine compiled =
       Error
         (Printf.sprintf "checksum mismatch: oracle %x, machine %x"
            compiled.oracle_checksum sum)
+  | o -> Error (Machine.outcome_to_string o)

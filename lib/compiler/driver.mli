@@ -68,9 +68,6 @@ val compile :
     with the full diagnostic list; warnings are returned in
     [check_diags]. *)
 
-val compile_baseline : Voltron_ir.Hir.program -> compiled
-(** Single-core sequential build (the paper's baseline). *)
-
 val verify : Voltron_machine.Config.t -> compiled -> (int, string) result
 (** Run the compiled program and compare its array-footprint checksum to
     the oracle; [Ok cycles] on success. *)

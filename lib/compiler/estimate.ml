@@ -33,34 +33,6 @@ let static_profile t = t.static_profile
 
 let miss_penalty = 20.
 
-(* Throwaway lowering, as in Select.dswp_estimate: base addresses do not
-   matter for schedule shapes. *)
-let lower_region stmts =
-  let max_v =
-    List.fold_left max 0 (Hir.defined_vregs stmts @ Hir.used_vregs stmts) + 1
-  in
-  let max_arr = ref (-1) in
-  Hir.iter_stmts
-    (fun ({ Hir.node; _ } : Hir.stmt) ->
-      match node with
-      | Hir.Assign (_, Hir.Load (a, _)) | Hir.Store (a, _, _) ->
-        max_arr := max !max_arr a
-      | Hir.Assign _ | Hir.If _ | Hir.For _ | Hir.Do_while _ -> ())
-    stmts;
-  let fake =
-    {
-      Hir.prog_name = "estimate";
-      arrays =
-        Array.init (!max_arr + 1) (fun i ->
-            { Hir.arr_name = Printf.sprintf "a%d" i; size = 1024; init = None });
-      regions = [];
-      n_vregs = max_v;
-    }
-  in
-  let lay = Voltron_ir.Layout.compute fake in
-  let lctx = Voltron_ir.Lower.make_ctx ~layout:lay ~first_vreg:max_v in
-  Voltron_ir.Lower.region lctx stmts
-
 (* Effective latency of one op, charging loads their static miss bound. *)
 let eff_latency t (op : Cfg.lop) =
   let base = float_of_int (Config.latency op.Cfg.inst) in
@@ -144,7 +116,7 @@ let doall_mem_factor = 1.75     (* n-core memory contention on the chunked body,
 let strands_decoupling = 0.95   (* vs the ideal coupled schedule, fitted *)
 
 let seq_cycles t stmts =
-  let cfg = lower_region stmts in
+  let cfg = Select.lower_region stmts in
   Array.fold_left
     (fun acc b ->
       let n = block_count t b in
@@ -154,7 +126,7 @@ let seq_cycles t stmts =
 (* Ideal n-wide partitioned schedule — before the lock-step penalty, so
    both ILP and strands derive from it. *)
 let ilp_base t ~n_cores stmts =
-  let cfg = lower_region stmts in
+  let cfg = Select.lower_region stmts in
   let n = float_of_int (max 1 n_cores) in
   Array.fold_left
     (fun acc b ->

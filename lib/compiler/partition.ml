@@ -440,5 +440,5 @@ let dswp ~n_cores ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~memdep =
     end
   end
 
-let all_on_core0 ~(dg : Depgraph.t) =
-  { core_of = Array.make (Array.length dg.Depgraph.ops) 0; participants = [ 0 ] }
+let solo ~core ~(dg : Depgraph.t) =
+  { core_of = Array.make (Array.length dg.Depgraph.ops) core; participants = [ core ] }

@@ -51,4 +51,5 @@ val dswp :
 (** [Some (partition, estimated_speedup)] when at least two stages emerge;
     [None] when the region is one big recurrence. *)
 
-val all_on_core0 : dg:Voltron_analysis.Depgraph.t -> t
+val solo : core:int -> dg:Voltron_analysis.Depgraph.t -> t
+(** Every operation on [core], the only participant. *)

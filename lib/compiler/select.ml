@@ -5,6 +5,14 @@ module Doall_a = Voltron_analysis.Doall
 
 type choice = [ `Hybrid | `Ilp | `Tlp | `Llp | `Seq ]
 
+let choice_names : (choice * string) list =
+  [ (`Seq, "seq"); (`Ilp, "ilp"); (`Tlp, "tlp"); (`Llp, "llp"); (`Hybrid, "hybrid") ]
+
+let choice_name c = List.assoc c choice_names
+
+let choice_of_string s =
+  List.find_map (fun (c, n) -> if n = s then Some c else None) choice_names
+
 type planned_region = {
   pr_name : string;
   pr_stmts : Hir.stmt list;
@@ -123,10 +131,11 @@ let doall_plan_of_region ~machine ~profile stmts =
 
 (* --- DSWP estimate --------------------------------------------------------- *)
 
-let dswp_estimate ~machine stmts =
-  (* Throwaway lowering: its fresh registers and labels are never emitted.
-     Array base addresses do not affect the estimate, so lower against a
-     synthetic layout sized from the largest array id in the region. *)
+(* Throwaway lowering: its fresh registers and labels are never emitted.
+   Array base addresses do not affect the estimates that read it, so lower
+   against a synthetic layout sized from the largest array id in the
+   region. *)
+let lower_region stmts =
   let max_v =
     List.fold_left max 0 (Hir.defined_vregs stmts @ Hir.used_vregs stmts) + 1
   in
@@ -150,7 +159,10 @@ let dswp_estimate ~machine stmts =
   in
   let lay = Voltron_ir.Layout.compute fake in
   let lctx = Voltron_ir.Lower.make_ctx ~layout:lay ~first_vreg:max_v in
-  let cfg = Voltron_ir.Lower.region lctx stmts in
+  Voltron_ir.Lower.region lctx stmts
+
+let dswp_estimate ~machine stmts =
+  let cfg = lower_region stmts in
   let memdep = Voltron_analysis.Memdep.create ~region_stmts:stmts cfg in
   let dg = Voltron_analysis.Depgraph.build ~cfg ~memdep ~latency:Config.latency in
   match

@@ -16,6 +16,12 @@
 
 type choice = [ `Hybrid | `Ilp | `Tlp | `Llp | `Seq ]
 
+val choice_name : choice -> string
+(** ["seq"], ["ilp"], ["tlp"], ["llp"] or ["hybrid"]. *)
+
+val choice_of_string : string -> choice option
+(** The inverse of {!choice_name}; [None] for any other string. *)
+
 type planned_region = {
   pr_name : string;
   pr_stmts : Voltron_ir.Hir.stmt list;
@@ -30,6 +36,11 @@ val doall_plan_of_region :
   Codegen.doall_plan option
 (** The region's DOALL decomposition (prefix / loop / suffix) when legal
     and profitable, applying the prefix/suffix safety rules (see source). *)
+
+val lower_region : Voltron_ir.Hir.stmt list -> Voltron_ir.Cfg.t
+(** A throwaway lowering of a region against a synthetic array layout, for
+    estimates only: its fresh registers and labels are never emitted, and
+    base addresses do not match the real program's. *)
 
 val dswp_estimate :
   machine:Voltron_machine.Config.t -> Voltron_ir.Hir.stmt list -> float

@@ -4,42 +4,19 @@ module Driver = Voltron_compiler.Driver
 module Fault = Voltron_fault.Fault
 module Sanity = Voltron_sanity.Sanity
 
-type run_outcome =
-  | Completed
-  | Cycle_capped
-  | Deadlocked of Machine.diagnosis
-  | Fault_limited of Machine.diagnosis
-  | Sanity_stopped of Machine.diagnosis
-
 type measurement = {
   cycles : int;
   stats : Voltron_machine.Stats.t;
   coh_stats : Voltron_mem.Coherence.stats;
   net_stats : Voltron_net.Operand_network.stats;
-  outcome : run_outcome;
+  outcome : Machine.outcome;
   verified : bool;
   plan : Voltron_compiler.Select.planned_region list;
   energy : Voltron_machine.Energy.report;
   sanity : Sanity.report option;
 }
 
-let completed m = m.outcome = Completed
-
-let outcome_to_string = function
-  | Completed -> "completed"
-  | Cycle_capped -> "exceeded the cycle cap"
-  | Deadlocked d -> "deadlock:\n" ^ Machine.diagnosis_to_string d
-  | Fault_limited d ->
-    "fault limit reached:\n" ^ Machine.diagnosis_to_string d
-  | Sanity_stopped d ->
-    "sanitizer stopped the machine:\n" ^ Machine.diagnosis_to_string d
-
-let outcome_of_machine = function
-  | Machine.Finished -> Completed
-  | Machine.Out_of_cycles -> Cycle_capped
-  | Machine.Deadlock d -> Deadlocked d
-  | Machine.Fault_limit d -> Fault_limited d
-  | Machine.Stopped d -> Sanity_stopped d
+let completed m = m.outcome = Machine.Finished
 
 let run ?(choice = `Hybrid) ?(check = true) ?profile ?(tweak = fun c -> c)
     ?(prepare = fun _ _ -> ()) ?sanitize ?(sanitize_log = fun _ -> ())
@@ -60,7 +37,7 @@ let run ?(choice = `Hybrid) ?(check = true) ?profile ?(tweak = fun c -> c)
   | None -> ()
   | Some s ->
     Sanity.finalize s ~completed:(result.Machine.outcome = Machine.Finished));
-  let outcome = outcome_of_machine result.Machine.outcome in
+  let outcome = result.Machine.outcome in
   let sum =
     Voltron_mem.Memory.checksum_prefix (Machine.memory m)
       compiled.Driver.array_footprint
@@ -71,7 +48,7 @@ let run ?(choice = `Hybrid) ?(check = true) ?profile ?(tweak = fun c -> c)
     coh_stats = Voltron_mem.Coherence.total_stats (Machine.coherence m);
     net_stats = Voltron_net.Operand_network.stats (Machine.network m);
     outcome;
-    verified = outcome = Completed && sum = compiled.Driver.oracle_checksum;
+    verified = outcome = Machine.Finished && sum = compiled.Driver.oracle_checksum;
     plan = compiled.Driver.plan;
     energy =
       Voltron_machine.Energy.of_run ~stats:(Machine.stats m)
@@ -137,7 +114,7 @@ let run_resilient ?(choice = `Hybrid) ?(check = true) ?profile
       && match m.sanity with Some r -> not (Sanity.clean r) | None -> false
     in
     match m.outcome with
-    | Fault_limited _ -> (
+    | Machine.Fault_limit _ -> (
       match Fault.degrade level with
       | Some next -> go next acc
       | None -> (acc, m))
@@ -145,7 +122,9 @@ let run_resilient ?(choice = `Hybrid) ?(check = true) ?profile
       match Fault.degrade level with
       | Some next -> go next acc
       | None -> (acc, m))
-    | Completed | Cycle_capped | Deadlocked _ | Sanity_stopped _ -> (acc, m)
+    | Machine.Finished | Machine.Out_of_cycles | Machine.Deadlock _
+    | Machine.Stopped _ ->
+      (acc, m)
   in
   let attempts_rev, final = go Fault.Full [] in
   let attempts = List.rev attempts_rev in
@@ -163,7 +142,7 @@ type divergence =
   | Non_completion of {
       nc_case : diff_case;
       nc_fast_forward : bool;
-      nc_outcome : run_outcome;
+      nc_outcome : Machine.outcome;
     }
   | Checksum_mismatch of { cm_case : diff_case; expected : int; got : int }
   | Checker_rejected of {
@@ -191,15 +170,9 @@ let default_cores = [ 2; 4; 8 ]
 let default_coherence : Voltron_mem.Coherence.protocol list =
   [ Voltron_mem.Coherence.Snoop; Voltron_mem.Coherence.Directory ]
 
-let choice_name : Voltron_compiler.Select.choice -> string = function
-  | `Seq -> "seq"
-  | `Ilp -> "ilp"
-  | `Tlp -> "tlp"
-  | `Llp -> "llp"
-  | `Hybrid -> "hybrid"
-
 let case_name c =
-  Printf.sprintf "%s/%d-core/%s" (choice_name c.d_strategy) c.d_cores
+  Printf.sprintf "%s/%d-core/%s"
+    (Voltron_compiler.Select.choice_name c.d_strategy) c.d_cores
     (Voltron_mem.Coherence.protocol_name c.d_coherence)
 
 let divergence_class = function
@@ -214,7 +187,7 @@ let divergence_to_string = function
     Printf.sprintf "[%s, fast-forward %s] did not complete: %s"
       (case_name nc_case)
       (if nc_fast_forward then "on" else "off")
-      (outcome_to_string nc_outcome)
+      (Machine.outcome_to_string nc_outcome)
   | Checksum_mismatch { cm_case; expected; got } ->
     Printf.sprintf "[%s] memory diverged from the oracle: expected %x, got %x"
       (case_name cm_case) expected got
@@ -275,12 +248,11 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
       | None -> ()
       | Some s ->
         Sanity.finalize s ~completed:(result.Machine.outcome = Machine.Finished));
-      let outcome = outcome_of_machine result.Machine.outcome in
       let sum =
         Voltron_mem.Memory.checksum_prefix (Machine.memory m)
           compiled.Driver.array_footprint
       in
-      (outcome, result.Machine.cycles, sum, Option.map Sanity.report san)
+      (result.Machine.outcome, result.Machine.cycles, sum, Option.map Sanity.report san)
     in
     let config =
       let c = tweak (Config.default ~n_cores:d_cores) in
@@ -342,7 +314,7 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
             let check_completed ff o expected sum dirty =
               if not dirty then
                 match o with
-                | Completed ->
+                | Machine.Finished ->
                   if sum <> expected then
                     push
                       (Checksum_mismatch { cm_case = case; expected; got = sum })
@@ -358,7 +330,7 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
             check_completed true o_on compiled.Driver.oracle_checksum sum_on
               dirty_on;
             check_completed false o_off sum_on sum_off dirty_off;
-            if o_on = Completed && o_off = Completed && cyc_on <> cyc_off
+            if o_on = Machine.Finished && o_off = Machine.Finished && cyc_on <> cyc_off
             then
               push
                 (Ff_cycle_mismatch
@@ -388,17 +360,15 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
 let baseline_cycles ?profile program =
   let m = run ~choice:`Seq ?profile ~n_cores:1 program in
   (match m.outcome with
-  | Completed -> ()
-  | (Cycle_capped | Deadlocked _ | Fault_limited _ | Sanity_stopped _) as o ->
-    failwith ("baseline run " ^ outcome_to_string o));
+  | Machine.Finished -> ()
+  | o -> failwith ("baseline run " ^ Machine.outcome_to_string o));
   m.cycles
 
 let speedup ?(choice = `Hybrid) ~n_cores program =
   let base = baseline_cycles program in
   let m = run ~choice ~n_cores program in
   (match m.outcome with
-  | Completed -> ()
-  | (Cycle_capped | Deadlocked _ | Fault_limited _ | Sanity_stopped _) as o ->
-    failwith ("speedup run " ^ outcome_to_string o));
+  | Machine.Finished -> ()
+  | o -> failwith ("speedup run " ^ Machine.outcome_to_string o));
   if not m.verified then failwith "speedup: memory image diverged from oracle";
   float_of_int base /. float_of_int m.cycles

@@ -1,27 +1,15 @@
 (** One-call compile-and-simulate helpers — the facade most users (and the
     examples, CLI and benchmark harness) go through. *)
 
-type run_outcome =
-  | Completed
-  | Cycle_capped  (** exceeded [Config.max_cycles] *)
-  | Deadlocked of Voltron_machine.Machine.diagnosis  (** watchdog fired *)
-  | Fault_limited of Voltron_machine.Machine.diagnosis
-      (** injected faults crossed the degradation threshold *)
-  | Sanity_stopped of Voltron_machine.Machine.diagnosis
-      (** the runtime sanitizer (policy [Abort] or [Recover]) stopped the
-          machine at a violation's detection cycle *)
-
-val outcome_to_string : run_outcome -> string
-
 type measurement = {
   cycles : int;
   stats : Voltron_machine.Stats.t;
   coh_stats : Voltron_mem.Coherence.stats;
       (** whole-hierarchy cache/coherence totals *)
   net_stats : Voltron_net.Operand_network.stats;
-  outcome : run_outcome;
+  outcome : Voltron_machine.Machine.outcome;
   verified : bool;
-      (** [Completed] and memory image matched the reference interpreter *)
+      (** [Finished] and memory image matched the reference interpreter *)
   plan : Voltron_compiler.Select.planned_region list;
   energy : Voltron_machine.Energy.report;
   sanity : Voltron_sanity.Sanity.report option;
@@ -85,14 +73,14 @@ val run_resilient :
   n_cores:int ->
   Voltron_ir.Hir.program ->
   resilient
-(** Like {!run}, but when a rung stops with [Fault_limited] the ladder
+(** Like {!run}, but when a rung stops with [Fault_limit] the ladder
     degrades — full hybrid parallelism, then queue-mode-only ([`Tlp]),
     then sequential on core 0 — and re-runs. The bottom rung clears the
     degradation threshold so the last resort always runs to completion
     (faults are still injected and recovered, so it must still verify).
 
     With [~sanitize:Recover], a rung whose sanitizer report is dirty
-    (typically a [Sanity_stopped] outcome) degrades the same way, and the
+    (typically a [Stopped] outcome) degrades the same way, and the
     bottom rung demotes the policy to [Report] so the last resort cannot
     be stopped — violations there are counted and surfaced instead.
     [prepare] is forwarded to every rung's {!run} (test harnesses arm
@@ -120,7 +108,7 @@ type divergence =
   | Non_completion of {
       nc_case : diff_case;
       nc_fast_forward : bool;
-      nc_outcome : run_outcome;
+      nc_outcome : Voltron_machine.Machine.outcome;
     }  (** deadlock, cycle cap or fault stop — watchdog-free termination failed *)
   | Checksum_mismatch of { cm_case : diff_case; expected : int; got : int }
       (** array-footprint memory image differs from the reference
@@ -155,7 +143,6 @@ val default_coherence : Voltron_mem.Coherence.protocol list
 (** [[Snoop; Directory]] — every fuzz campaign diffs both backends by
     default. *)
 
-val choice_name : Voltron_compiler.Select.choice -> string
 val divergence_class : divergence -> string
 (** Stable failure-class tag: ["non-completion"], ["checksum"],
     ["checker"], ["ff-cycles"] or ["sanitizer"] — the shrinker preserves

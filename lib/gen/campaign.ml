@@ -176,7 +176,7 @@ let write_reproducer ~dir f =
     (match f.f_case with
     | Some c ->
       Printf.sprintf ", first diverging case: %s on %d cores, %s coherence"
-        (Run.choice_name c.Run.d_strategy)
+        (Voltron_compiler.Select.choice_name c.Run.d_strategy)
         c.Run.d_cores
         (Voltron_mem.Coherence.protocol_name c.Run.d_coherence)
     | None -> "")

@@ -1377,6 +1377,20 @@ let pp_diagnosis ppf d =
 
 let diagnosis_to_string d = Format.asprintf "@[<v>%a@]" pp_diagnosis d
 
+let outcome_to_string = function
+  | Finished -> "completed"
+  | Out_of_cycles -> "exceeded the cycle cap"
+  | Deadlock d -> "deadlock:\n" ^ diagnosis_to_string d
+  | Fault_limit d -> "fault limit reached:\n" ^ diagnosis_to_string d
+  | Stopped d -> "sanitizer stopped the machine:\n" ^ diagnosis_to_string d
+
+let outcome_label = function
+  | Finished -> "completed"
+  | Out_of_cycles -> "cycle cap"
+  | Deadlock _ -> "deadlock"
+  | Fault_limit _ -> "fault limit"
+  | Stopped _ -> "sanitizer stop"
+
 (* --- Run loop -------------------------------------------------------------- *)
 
 let finalize_counters t =

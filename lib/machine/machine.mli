@@ -90,6 +90,15 @@ type outcome =
       (** a subscriber called {!request_stop} — the runtime sanitizer
           halting the machine at the cycle a violation was detected *)
 
+val outcome_to_string : outcome -> string
+(** Why the run ended, with the structured diagnosis when there is one —
+    the text failure messages and fuzz reproducers print. *)
+
+val outcome_label : outcome -> string
+(** A short label (["completed"], ["cycle cap"], ["deadlock"],
+    ["fault limit"], ["sanitizer stop"]) for one-line sweep rows and
+    JSON. *)
+
 type result = {
   outcome : outcome;
   cycles : int;

@@ -125,6 +125,86 @@ let test_ablation_directions () =
       (value converted "TLP speedup" >= value branchy "TLP speedup" *. 0.98)
   | _ -> Alcotest.fail "two ifconv rows expected"
 
+(* --- The CLI's sweep engine ----------------------------------------------- *)
+
+module Sweep = Voltron.Sweep
+
+(* Sinks that record both streams; stderr lines get their newline back. *)
+let recording_sinks () =
+  let out = Buffer.create 256 and err = Buffer.create 256 in
+  let on_err l = Buffer.add_string err (l ^ "\n") in
+  ({ Sweep.on_out = Buffer.add_string out; on_err }, out, err)
+
+let sweep_at ~jobs cell targets =
+  let sinks, out, err = recording_sinks () in
+  let values, failures = Sweep.run ~sinks ~jobs cell targets in
+  (Buffer.contents out, Buffer.contents err, values, failures)
+
+let numbered n = List.init n (fun i -> (Printf.sprintf "t%d" i, i))
+
+(* Early cells cost the most, so at jobs > 1 they finish last. *)
+let uneven_cell name i =
+  let acc = ref 0 in
+  for k = 1 to (12 - i) * 1_000_000 do
+    acc := Sys.opaque_identity (!acc + (k land 7))
+  done;
+  {
+    Sweep.out = Printf.sprintf "%s %d\n" name (!acc land 1);
+    errs = (if i mod 3 = 0 then [ name ^ " failed" ] else []);
+    failures = (if i mod 3 = 0 then 1 else 0);
+    value = i * i;
+  }
+
+let test_sweep_jobs_invariant () =
+  let serial = sweep_at ~jobs:1 uneven_cell (numbered 12) in
+  let parallel = sweep_at ~jobs:4 uneven_cell (numbered 12) in
+  let out, err, values, failures = serial in
+  Alcotest.(check int) "failures summed" 4 failures;
+  Alcotest.(check (list int)) "values in cell order"
+    (List.init 12 (fun i -> i * i))
+    values;
+  Alcotest.(check string) "errs in cell order"
+    "t0 failed\nt3 failed\nt6 failed\nt9 failed\n" err;
+  Alcotest.(check int) "one out chunk per cell" 12
+    (List.length (String.split_on_char '\n' out) - 1);
+  Alcotest.(check bool) "jobs 4 = jobs 1" true (parallel = serial)
+
+let test_sweep_raising_cell () =
+  let cell name i =
+    if i = 2 then failwith "boom"
+    else { Sweep.out = name ^ "\n"; errs = []; failures = 0; value = i }
+  in
+  List.iter
+    (fun jobs ->
+      let out, err, values, failures = sweep_at ~jobs cell (numbered 6) in
+      let label = Printf.sprintf "jobs %d: " jobs in
+      Alcotest.(check string) (label ^ "one internal error line")
+        "t2: internal error: Failure(\"boom\")\n" err;
+      Alcotest.(check int) (label ^ "one failure") 1 failures;
+      Alcotest.(check string) (label ^ "later cells still emit, in order")
+        "t0\nt1\nt3\nt4\nt5\n" out;
+      Alcotest.(check (list int)) (label ^ "no value for the raising cell")
+        [ 0; 1; 3; 4; 5 ] values)
+    [ 1; 4 ]
+
+let test_sweep_targets () =
+  let suite =
+    List.map
+      (fun (b : Voltron_workloads.Suite.benchmark) ->
+        b.Voltron_workloads.Suite.bench_name)
+      Voltron_workloads.Suite.all
+  in
+  Alcotest.(check int) "25 suite programs" 25 (List.length suite);
+  Alcotest.(check (list string)) "suite, then the micro kernels"
+    (suite @ [ "micro:gsm_llp"; "micro:gzip_strands"; "micro:gsm_ilp" ])
+    (List.map fst (Sweep.targets ~scale:0.05))
+
+let test_sweep_unknown_name () =
+  Alcotest.(check bool) "unknown name is an Error" true
+    (Result.is_error (Sweep.program_of_name "no-such-bench" ~scale:0.05));
+  Alcotest.(check bool) "micro kernel resolves" true
+    (Result.is_ok (Sweep.program_of_name "micro:gsm_llp" ~scale:0.05))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -138,4 +218,12 @@ let () =
         ] );
       ( "ablations",
         [ Alcotest.test_case "directions" `Slow test_ablation_directions ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "jobs-invariant streams" `Quick
+            test_sweep_jobs_invariant;
+          Alcotest.test_case "raising cell" `Quick test_sweep_raising_cell;
+          Alcotest.test_case "targets" `Quick test_sweep_targets;
+          Alcotest.test_case "unknown name" `Quick test_sweep_unknown_name;
+        ] );
     ]

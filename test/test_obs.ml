@@ -33,8 +33,8 @@ let test_per_core_invariant () =
     (fun (name, p, choice, n_cores) ->
       let m = Voltron.Run.run ~choice ~n_cores p in
       (match m.Voltron.Run.outcome with
-      | Voltron.Run.Completed -> ()
-      | o -> Alcotest.fail (name ^ ": " ^ Voltron.Run.outcome_to_string o));
+      | Machine.Finished -> ()
+      | o -> Alcotest.fail (name ^ ": " ^ Machine.outcome_to_string o));
       let st = m.Voltron.Run.stats in
       for core = 0 to st.Stats.n_cores - 1 do
         let c = Stats.core st core in

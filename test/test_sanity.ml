@@ -44,7 +44,7 @@ let check_class name cls r =
     true (has_class cls r)
 
 let stopped m =
-  match m.Run.outcome with Run.Sanity_stopped _ -> true | _ -> false
+  match m.Run.outcome with Machine.Stopped _ -> true | _ -> false
 
 (* Arm a one-shot sabotage from a per-cycle subscriber; returns the cycle
    it fired on. *)
@@ -90,7 +90,7 @@ let test_clean_matrix () =
               in
               let r = report_exn m in
               let label =
-                Printf.sprintf "%s/%s/%d" name (Run.choice_name choice) cores
+                Printf.sprintf "%s/%s/%d" name (Voltron_compiler.Select.choice_name choice) cores
               in
               Alcotest.(check bool) (label ^ " completed") true (Run.completed m);
               Alcotest.(check bool) (label ^ " verified") true m.Run.verified;

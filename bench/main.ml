@@ -52,35 +52,25 @@ let run_figure ~scale ~jobs name =
 let run_ablations ~scale () =
   line ();
   print_endline "Ablations (design-choice studies beyond the paper's figures)";
-  E.print_ablations ~title:"A1: dual-mode value — hybrid vs committing to one mode (4 cores)"
-    (E.ablation_modes ~scale ());
-  print_newline ();
-  E.print_ablations ~title:"A2: queue channel capacity (epic, forced TLP, 4 cores)"
-    (E.ablation_capacity ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A3: main-memory latency — decoupled tolerance vs coupled fragility (179.art, 4 cores)"
-    (E.ablation_memlat ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A4: TM mis-speculation — profiled clean, run with collisions (scatter RMW, 4 cores)"
-    (E.ablation_tm ~scale ());
-  print_newline ();
-  E.print_ablations ~title:"A5: core scaling, hybrid (coupled groups capped at 4)"
-    (E.ablation_scaling ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A6: if-conversion — predicating away a strand loop's branch (forced TLP, 4 cores)"
-    (E.ablation_ifconv ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A7: energy and EDP — 4-core hybrid vs 1-core baseline (first-order model)"
-    (E.ablation_energy ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A8: one wide-issue core vs four simple Voltron cores (speedup over 1-issue serial)"
-    (E.ablation_issue_width ~scale ());
-  print_newline ()
+  List.iter
+    (fun (title, (ablation : ?scale:float -> unit -> E.ablation_row list)) ->
+      E.print_ablations ~title (ablation ~scale ());
+      print_newline ())
+    [
+      ("A1: dual-mode value — hybrid vs committing to one mode (4 cores)", E.ablation_modes);
+      ("A2: queue channel capacity (epic, forced TLP, 4 cores)", E.ablation_capacity);
+      ( "A3: main-memory latency — decoupled tolerance vs coupled fragility (179.art, 4 cores)",
+        E.ablation_memlat );
+      ( "A4: TM mis-speculation — profiled clean, run with collisions (scatter RMW, 4 cores)",
+        E.ablation_tm );
+      ("A5: core scaling, hybrid (coupled groups capped at 4)", E.ablation_scaling);
+      ( "A6: if-conversion — predicating away a strand loop's branch (forced TLP, 4 cores)",
+        E.ablation_ifconv );
+      ( "A7: energy and EDP — 4-core hybrid vs 1-core baseline (first-order model)",
+        E.ablation_energy );
+      ( "A8: one wide-issue core vs four simple Voltron cores (speedup over 1-issue serial)",
+        E.ablation_issue_width );
+    ]
 
 let figures =
   [
@@ -234,8 +224,9 @@ let json_of_counters ~scale ~jobs () =
     (fun (b : Suite.benchmark) ->
       let name = b.Suite.bench_name in
       let p = b.Suite.build ~scale () in
-      let base = Voltron.Run.baseline_cycles p in
-      let m = Voltron.Run.run ~n_cores:4 p in
+      let oracle = Voltron_compiler.Driver.interpret p in
+      let base = Voltron.Run.baseline_cycles ~oracle p in
+      let m = Voltron.Run.run ~oracle ~n_cores:4 p in
       let metrics =
         Metrics.of_stats ~label:name ~cycles:m.Voltron.Run.cycles
           ~coherence:m.Voltron.Run.coh_stats ~network:m.Voltron.Run.net_stats

@@ -83,7 +83,8 @@ let strategy_arg =
   Arg.(
     value
     & opt string "hybrid"
-    & info [ "s"; "strategy" ] ~docv:"S" ~doc:"seq, ilp, tlp, llp or hybrid.")
+    & info [ "s"; "strategy" ] ~docv:"S"
+        ~doc:"seq, ilp, tlp, llp or hybrid ($(b,run)/$(b,check) $(b,--all) sweep all five).")
 
 let scale_arg =
   Arg.(
@@ -228,15 +229,16 @@ let sanity_clean (m : Run.measurement) =
 
 (* run --all: the whole workload suite (plus the micro kernels) under every
    strategy at the given core count, one line per strategy — the CI's
-   sanitized sweep entry point. The profile is collected once per benchmark
-   and shared by its five strategy runs. *)
+   sanitized sweep entry point. The program is interpreted once per
+   benchmark and that oracle is shared by its five strategy runs. *)
 let run_cell ~cores ~coherence ~check ~sanitize ~no_profile name p =
   let buf = Buffer.create 512 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let profile = profile_for ~no_profile p in
+  let oracle = Driver.interpret p in
   let row failures choice =
     let m =
-      Run.run ~choice ~check ?profile ?sanitize
+      Run.run ~choice ~check ?profile ~oracle ?sanitize
         ~tweak:(Config.with_coherence coherence) ~n_cores:cores p
     in
     out "%-24s %-7s %-10d %s%s%s\n" name (Select.choice_name choice)
@@ -264,6 +266,7 @@ let run_cmd =
       fault_rate fault_seed fault_threshold no_check no_profile sanitize_s
       json_out jobs =
     let check = not no_check in
+    let choice = strategy_of_flag strategy in
     let sanitize = sanitize_of_flag sanitize_s in
     let coherence = or_usage (Coherence.protocol_of_string coherence_s) in
     if all then begin
@@ -280,9 +283,9 @@ let run_cmd =
     else begin
       let name, p = resolve_program bench file scale in
       let p = apply_opts optimize unroll p in
-      let choice = strategy_of_flag strategy in
       let profile = profile_for ~no_profile p in
-      let base = Run.baseline_cycles ?profile p in
+      let oracle = Driver.interpret p in
+      let base = Run.baseline_cycles ~oracle p in
       Printf.printf "benchmark  : %s\n" name;
       Printf.printf "strategy   : %s on %d cores%s\n" strategy cores
         (if no_profile then " (static profile)" else "");
@@ -325,7 +328,7 @@ let run_cmd =
           r.Run.final
         end
         else
-          Run.run ~choice ~check ?profile ?sanitize
+          Run.run ~choice ~check ?profile ~oracle ?sanitize
             ~tweak:(Config.with_coherence coherence)
             ~sanitize_log:prerr_endline ~n_cores:cores p
       in
@@ -398,8 +401,9 @@ let plan_cmd =
     let _, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
     let profile =
-      if no_profile then Voltron_analysis.Profile.of_static p
-      else Voltron_analysis.Profile.collect p
+      match profile_for ~no_profile p with
+      | Some pr -> pr
+      | None -> Voltron_analysis.Profile.collect p
     in
     let regions = Select.plan ~machine ~profile `Hybrid p in
     if no_profile then print_endline "(selection from static profile)";
@@ -435,14 +439,14 @@ let check_diag_json (d : Check.diag) =
 
 let check_cmd =
   let check bench file all cores strategy scale json_out jobs =
+    let choice = strategy_of_flag strategy in
     let targets =
       if all then Sweep.targets ~scale else [ resolve_program bench file scale ]
     in
-    let strategies =
-      if all then Run.default_strategies else [ strategy_of_flag strategy ]
-    in
+    let strategies = if all then Run.default_strategies else [ choice ] in
     let machine = Config.default ~n_cores:cores in
     let cell name p =
+      let oracle = Driver.interpret p in
       let buf = Buffer.create 256 in
       let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
       let row choice =
@@ -456,7 +460,7 @@ let check_cmd =
               ("diagnostics", Json.List (List.map check_diag_json diags));
             ]
         in
-        match Driver.compile ~machine ~choice p with
+        match Driver.compile ~machine ~choice ~oracle p with
         | { Driver.check_diags = []; _ } ->
           out "%-24s %-7s clean\n" name s;
           (0, json "clean" [])
@@ -697,23 +701,19 @@ let profile_cmd =
 (* --- blame: cross-core critical path, wait-for blame, what-if ------------ *)
 
 let blame_cmd =
-  let run_with_blame ~cores ~choice ~tweak p =
+  let run_with_blame ~cores ~choice ~oracle ~tweak p =
     let machine = tweak (Config.default ~n_cores:cores) in
-    let compiled = Driver.compile ~machine ~choice p in
+    let compiled = Driver.compile ~machine ~choice ~oracle p in
     let m = Machine.create machine compiled.Driver.executable in
     let b = Blame.attach m compiled in
     (b, Machine.run m)
-  in
-  let measure ~cores ~choice ~tweak p =
-    let m = Run.run ~choice ~tweak ~n_cores:cores p in
-    if Run.completed m then Some m.Run.cycles else None
   in
   let blame bench file cores strategy scale all top net_scale validate tm_rate
       fault_seed json_out jobs =
     let choice = strategy_of_flag strategy in
     (* [err] records one failure line of the cell. *)
-    let analyze ~err name p =
-      let b, result = run_with_blame ~cores ~choice ~tweak:(fun c -> c) p in
+    let analyze ~err ~oracle name p =
+      let b, result = run_with_blame ~cores ~choice ~oracle ~tweak:Fun.id p in
       match result.Machine.outcome with
       | Machine.Finished ->
         (match Blame.coverage b with
@@ -735,23 +735,20 @@ let blame_cmd =
     (* Predicted speedups come from rescaling edges along the recorded
        critical path; measured ones from reruns whose configuration actually
        changed the same way. The two agreeing is the causal claim. *)
-    let validate_whatifs ~out ~err name p cp =
+    let validate_whatifs ~out ~err ~oracle name p cp =
       let base = Critpath.total cp in
       let hop = (Config.default ~n_cores:cores).Config.net_hop_cost in
       let scaled_hop = int_of_float ((net_scale *. float_of_int hop) +. 0.5) in
       let net_row =
         let predicted = Critpath.whatif_net cp ~scale:net_scale in
-        match
-          measure ~cores ~choice
-            ~tweak:(fun c -> { c with Config.net_hop_cost = scaled_hop })
-            p
-        with
-        | None -> None
-        | Some rerun ->
+        let tweak c = { c with Config.net_hop_cost = scaled_hop } in
+        let rerun = Run.run ~choice ~oracle ~tweak ~n_cores:cores p in
+        if not (Run.completed rerun) then None
+        else
           Some
             ( Printf.sprintf "net-hop-cost %d->%d" hop scaled_hop,
               float_of_int base /. float_of_int (max 1 predicted),
-              float_of_int base /. float_of_int (max 1 rerun) )
+              float_of_int base /. float_of_int (max 1 rerun.Run.cycles) )
       in
       let tm_row =
         if tm_rate <= 0. then None
@@ -767,7 +764,7 @@ let blame_cmd =
                 };
             }
           in
-          let b_f, r_f = run_with_blame ~cores ~choice ~tweak p in
+          let b_f, r_f = run_with_blame ~cores ~choice ~oracle ~tweak p in
           match r_f.Machine.outcome with
           | Machine.Finished ->
             let cp_f = Critpath.compute b_f in
@@ -804,17 +801,19 @@ let blame_cmd =
           ^ "\n")
     in
     (* Without --all, the one program is a one-cell sweep that also prints
-       its full report. *)
+       its full report. The blame run and both what-if reruns share one
+       oracle. *)
     let cell name p =
       let out_buf = Buffer.create 256 and errs = ref [] in
       let out s = Buffer.add_string out_buf s in
       let err s = errs := s :: !errs in
+      let oracle = Driver.interpret p in
       let rep =
-        match analyze ~err name p with
+        match analyze ~err ~oracle name p with
         | None -> None
         | Some (rep, cp) ->
           if not all then out (Format.asprintf "%a" (Critpath.pp_report ~top) rep);
-          if validate then validate_whatifs ~out ~err name p cp;
+          if validate then validate_whatifs ~out ~err ~oracle name p cp;
           Some rep
       in
       {
@@ -1170,7 +1169,7 @@ let fuzz_cmd =
       match emit with
       | None -> fun ~seed:_ _ -> ()
       | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        Voltron_gen.Campaign.mkdir_p dir;
         fun ~seed p ->
           let path = Filename.concat dir (Printf.sprintf "fuzz_s%d.vc" seed) in
           let oc = open_out path in

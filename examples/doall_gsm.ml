@@ -16,7 +16,10 @@ module Config = Voltron_machine.Config
 
 let () =
   let program = Suite.micro_gsm_llp () in
-  let profile = Voltron_analysis.Profile.collect program in
+  (* One interpretation of the program serves the selector's profile and
+     every compile below. *)
+  let oracle = Voltron_compiler.Driver.interpret program in
+  let profile = oracle.Voltron_compiler.Driver.dyn_profile in
 
   (* Ask the selector how it classifies the region. *)
   let machine = Config.default ~n_cores:2 in
@@ -27,10 +30,10 @@ let () =
         r.Select.pr_weight)
     (Select.plan ~machine ~profile `Hybrid program);
 
-  let base = Voltron.Run.baseline_cycles ~profile program in
+  let base = Voltron.Run.baseline_cycles ~oracle program in
   List.iter
     (fun cores ->
-      let m = Voltron.Run.run ~choice:`Llp ~profile ~n_cores:cores program in
+      let m = Voltron.Run.run ~choice:`Llp ~oracle ~n_cores:cores program in
       Printf.printf "%d cores: %d cycles, speedup %.2fx (paper: 1.9x on 2 cores)%s\n"
         cores m.Voltron.Run.cycles
         (float_of_int base /. float_of_int m.Voltron.Run.cycles)

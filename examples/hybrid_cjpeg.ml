@@ -14,12 +14,13 @@ module Select = Voltron_compiler.Select
 let () =
   let bench = Suite.by_name "cjpeg" in
   let program = bench.Suite.build () in
-  let profile = Voltron_analysis.Profile.collect program in
-  let base = Voltron.Run.baseline_cycles ~profile program in
+  (* Interpret the program once; every compile below shares the oracle. *)
+  let oracle = Voltron_compiler.Driver.interpret program in
+  let base = Voltron.Run.baseline_cycles ~oracle program in
   Printf.printf "cjpeg-like workload, baseline %d cycles\n\n" base;
 
   let show name choice =
-    let m = Voltron.Run.run ~choice ~profile ~n_cores:4 program in
+    let m = Voltron.Run.run ~choice ~oracle ~n_cores:4 program in
     Printf.printf "%-12s speedup %.2fx%s\n" name
       (float_of_int base /. float_of_int m.Voltron.Run.cycles)
       (if m.Voltron.Run.verified then "" else "  [VERIFICATION FAILED]");

@@ -15,12 +15,13 @@ module Stats = Voltron_machine.Stats
 
 let () =
   let program = Suite.micro_gzip_strands () in
-  let profile = Voltron_analysis.Profile.collect program in
-  let base = Voltron.Run.baseline_cycles ~profile program in
+  (* Interpret the program once; every compile below shares the oracle. *)
+  let oracle = Voltron_compiler.Driver.interpret program in
+  let base = Voltron.Run.baseline_cycles ~oracle program in
   Printf.printf "sequential baseline: %d cycles\n\n" base;
   List.iter
     (fun (name, choice) ->
-      let m = Voltron.Run.run ~choice ~profile ~n_cores:2 program in
+      let m = Voltron.Run.run ~choice ~oracle ~n_cores:2 program in
       let st = m.Voltron.Run.stats in
       let sum pick = pick (Stats.core st 0) + pick (Stats.core st 1) in
       Printf.printf

@@ -27,16 +27,10 @@ let interpret ?max_steps p =
     footprint;
   }
 
-let compile ~machine ?(choice = `Hybrid) ?(check = true) ?(static_profile = false)
-    ?profile ?max_steps ?oracle (p : Hir.program) =
+let compile ~machine ?(choice = `Hybrid) ?(check = true) ?profile ?max_steps
+    ?oracle (p : Hir.program) =
   let oracle = match oracle with Some o -> o | None -> interpret ?max_steps p in
-  let profile =
-    match profile with
-    | Some pr -> pr
-    | None when static_profile ->
-      Voltron_analysis.Profile.of_static ~cache:machine.Config.cache p
-    | None -> oracle.dyn_profile
-  in
+  let profile = Option.value profile ~default:oracle.dyn_profile in
   let plan = Select.plan ~machine ~profile choice p in
   let cg = Codegen.create ~profile:oracle.dyn_profile machine p in
   List.iter

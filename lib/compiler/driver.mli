@@ -33,7 +33,6 @@ val compile :
   machine:Voltron_machine.Config.t ->
   ?choice:Select.choice ->
   ?check:bool ->
-  ?static_profile:bool ->
   ?profile:Voltron_analysis.Profile.t ->
   ?max_steps:int ->
   ?oracle:oracle ->
@@ -50,17 +49,17 @@ val compile :
     the fuzzing harness uses this to reject runaway shrink candidates
     quickly; it is unused when [oracle] is given.
 
-    Strategy selection reads, in order of precedence: the caller's
-    [profile]; the abstract interpreter's synthesised profile
-    ({!Voltron_analysis.Profile.of_static}) when [static_profile] is set
-    ([--no-profile] on the CLI); otherwise the dynamic profile. Codegen's
-    eBUG partitioner (strands, and DSWP's fallback) always reads the
-    dynamic profile of the program being compiled, whatever selection
-    used: a caller's [profile] may belong to another program (a
-    fault-free variant, say), and the static profile's miss model is an
-    estimate, so neither changes which loads eBUG treats as likely to
-    miss. Selection under [static_profile] is therefore static, but the
-    compile still runs the program once, for the oracle and for eBUG.
+    Strategy selection reads the caller's [profile] when given (the
+    CLI's [--no-profile] passes {!Voltron_analysis.Profile.of_static}'s
+    synthesised profile), otherwise the dynamic profile. [profile] only
+    overrides selection: codegen's eBUG partitioner (strands, and DSWP's
+    fallback) always reads the dynamic profile of the program being
+    compiled, because a caller's [profile] may belong to another program
+    (a fault-free variant, say) and the static profile's miss model is an
+    estimate. So a compile still runs the program once, for the oracle
+    and for eBUG, whatever selection used. A caller that compiles one
+    program several times shares one {!interpret} across them as
+    [oracle].
 
     Unless [~check:false] is given, the static cross-core checker
     ({!Voltron_check.Check}) runs over the generated images as a

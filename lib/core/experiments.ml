@@ -2,6 +2,7 @@ module Suite = Voltron_workloads.Suite
 module Stats = Voltron_machine.Stats
 module Hir = Voltron_ir.Hir
 module Profile = Voltron_analysis.Profile
+module Driver = Voltron_compiler.Driver
 module Table = Voltron_util.Table
 module Stat = Voltron_util.Stat
 
@@ -48,29 +49,40 @@ let selected_benches benches =
   | Some names -> List.map Suite.by_name names
 
 (* Per-benchmark cells are independent (each builds its own program,
-   profile and machines), so the figure sweeps fan out on the pool;
+   oracle and machines), so the figure sweeps fan out on the pool;
    results come back in benchmark order whatever [jobs] is. *)
 let pmap ~jobs f xs =
   Array.to_list (Voltron_pool.Pool.parallel_map ~jobs f (Array.of_list xs))
 
 (* Measure one program's cycles under a choice/core count, reusing the
-   profile; insist on oracle agreement. *)
-let cycles_of ?profile program choice n_cores =
-  let m = Run.run ~choice ?profile ~n_cores program in
+   oracle; insist on oracle agreement. *)
+let cycles_of ?oracle ?tweak program choice n_cores =
+  let m = Run.run ~choice ?oracle ?tweak ~n_cores program in
   if not m.Run.verified then
     failwith "experiment run diverged from the reference interpreter";
   m
 
+(* A program interpreted once: every compile of it in a cell shares
+   [oracle], and [base] is its 1-core sequential cycles. *)
+type subject = { prog : Hir.program; oracle : Driver.oracle; base : int }
+
+let subject prog =
+  let oracle = Driver.interpret prog in
+  { prog; oracle; base = Run.baseline_cycles ~oracle prog }
+
+let of_bench ~scale (b : Suite.benchmark) = subject (b.Suite.build ~scale ())
+
+let measure ?tweak s choice n_cores =
+  cycles_of ~oracle:s.oracle ?tweak s.prog choice n_cores
+
+let ratio s (m : Run.measurement) = float_of_int s.base /. float_of_int m.Run.cycles
+let speedup s choice n_cores = ratio s (measure s choice n_cores)
+
 let per_type ~scale ~benches ~jobs ~n_cores =
   pmap ~jobs
     (fun (b : Suite.benchmark) ->
-      let p = b.Suite.build ~scale () in
-      let profile = Profile.collect p in
-      let base = Run.baseline_cycles ~profile p in
-      let sp choice =
-        float_of_int base
-        /. float_of_int (cycles_of ~profile p choice n_cores).Run.cycles
-      in
+      let s = of_bench ~scale b in
+      let sp choice = speedup s choice n_cores in
       { bench = b.Suite.bench_name; sp_ilp = sp `Ilp; sp_tlp = sp `Tlp; sp_llp = sp `Llp })
     (selected_benches benches)
 
@@ -83,11 +95,10 @@ let fig11 ?(scale = 1.0) ?benches ?(jobs = 1) () =
 let fig12 ?(scale = 1.0) ?benches ?(jobs = 1) () =
   pmap ~jobs
     (fun (b : Suite.benchmark) ->
-      let p = b.Suite.build ~scale () in
-      let profile = Profile.collect p in
-      let base = float_of_int (Run.baseline_cycles ~profile p) in
+      let s = of_bench ~scale b in
+      let base = float_of_int s.base in
       let fractions choice =
-        let m = cycles_of ~profile p choice 4 in
+        let m = measure s choice 4 in
         let st = m.Run.stats in
         let avg pick =
           Stat.mean
@@ -119,10 +130,8 @@ let fig12 ?(scale = 1.0) ?benches ?(jobs = 1) () =
 let fig13 ?(scale = 1.0) ?benches ?(jobs = 1) () =
   pmap ~jobs
     (fun (b : Suite.benchmark) ->
-      let p = b.Suite.build ~scale () in
-      let profile = Profile.collect p in
-      let base = float_of_int (Run.baseline_cycles ~profile p) in
-      let sp cores = base /. float_of_int (cycles_of ~profile p `Hybrid cores).Run.cycles in
+      let s = of_bench ~scale b in
+      let sp cores = speedup s `Hybrid cores in
       { hs_bench = b.Suite.bench_name; hs_2core = sp 2; hs_4core = sp 4 })
     (selected_benches benches)
 
@@ -149,7 +158,7 @@ let fig3 ?(scale = 1.0) ?benches ?(jobs = 1) () =
   pmap ~jobs
     (fun (b : Suite.benchmark) ->
       let p = b.Suite.build ~scale () in
-      let profile = Profile.collect p in
+      let profile = (Driver.interpret p).Driver.dyn_profile in
       let weights =
         List.map
           (fun (r : Hir.region) ->
@@ -167,14 +176,10 @@ let fig3 ?(scale = 1.0) ?benches ?(jobs = 1) () =
       in
       List.iter
         (fun ((r : Hir.region), w) ->
-          let standalone = { p with Hir.regions = [ r ] } in
-          let sprofile = Profile.collect standalone in
-          let base = Run.baseline_cycles ~profile:sprofile standalone in
-          let c choice =
-            (cycles_of ~profile:sprofile standalone choice 4).Run.cycles
-          in
+          let s = subject { p with Hir.regions = [ r ] } in
+          let c choice = (measure s choice 4).Run.cycles in
           let candidates =
-            [ (`Single, base); (`Ilp_k, c `Ilp); (`Tlp_k, c `Tlp); (`Llp_k, c `Llp) ]
+            [ (`Single, s.base); (`Ilp_k, c `Ilp); (`Tlp_k, c `Tlp); (`Llp_k, c `Llp) ]
           in
           let winner, _ =
             List.fold_left
@@ -199,13 +204,11 @@ let fig3 ?(scale = 1.0) ?benches ?(jobs = 1) () =
 
 let micro ?(scale = 1.0) ?(jobs = 1) () =
   let best program =
-    let base = Run.baseline_cycles program in
+    let s = subject program in
     let candidates =
-      List.map
-        (fun choice -> (cycles_of program choice 2).Run.cycles)
-        [ `Ilp; `Tlp; `Llp; `Hybrid ]
+      List.map (fun c -> (measure s c 2).Run.cycles) [ `Ilp; `Tlp; `Llp; `Hybrid ]
     in
-    float_of_int base /. float_of_int (List.fold_left min max_int candidates)
+    float_of_int s.base /. float_of_int (List.fold_left min max_int candidates)
   in
   pmap ~jobs
     (fun (mi_name, mi_paper, build) ->
@@ -261,21 +264,14 @@ let scaling ?(scale = 1.0) ?(benches = scaling_benches)
   List.concat
   @@ pmap ~jobs
        (fun (b : Suite.benchmark) ->
-         let p = b.Suite.build ~scale () in
-         let profile = Profile.collect p in
-         let base = float_of_int (Run.baseline_cycles ~profile p) in
+         let s = of_bench ~scale b in
+         let base = float_of_int s.base in
          let cls = workload_class b in
          List.map
            (fun n ->
              let cyc proto =
-               let m =
-                 Run.run ~choice:`Hybrid ~profile
-                   ~tweak:(Voltron_machine.Config.with_coherence proto)
-                   ~n_cores:n p
-               in
-               if not m.Run.verified then
-                 failwith "coherence scaling sweep diverged";
-               m.Run.cycles
+               let tweak = Voltron_machine.Config.with_coherence proto in
+               (measure ~tweak s `Hybrid n).Run.cycles
              in
              let sn = cyc Voltron_mem.Coherence.Snoop in
              let dr = cyc Voltron_mem.Coherence.Directory in
@@ -338,10 +334,7 @@ let resilience ?(scale = 1.0) ?(benches = [ "cjpeg"; "gsmdecode"; "179.art" ])
   List.concat
   @@ pmap ~jobs
        (fun name ->
-      let b = Suite.by_name name in
-      let p = b.Suite.build ~scale () in
-      let profile = Profile.collect p in
-      let base = Run.baseline_cycles ~profile p in
+      let s = of_bench ~scale (Suite.by_name name) in
       let run_at rate =
         let tweak c =
           {
@@ -350,7 +343,7 @@ let resilience ?(scale = 1.0) ?(benches = [ "cjpeg"; "gsmdecode"; "179.art" ])
               Voltron_fault.Fault.uniform ~seed ~rate ();
           }
         in
-        Run.run_resilient ~profile ~tweak ~n_cores:4 p
+        Run.run_resilient ~tweak ~n_cores:4 s.prog
       in
       let clean = run_at 0.0 in
       let clean_cycles = clean.Run.final.Run.cycles in
@@ -370,7 +363,7 @@ let resilience ?(scale = 1.0) ?(benches = [ "cjpeg"; "gsmdecode"; "179.art" ])
             rs_level = level;
             rs_cycles = m.Run.cycles;
             rs_overhead = float_of_int m.Run.cycles /. float_of_int clean_cycles;
-            rs_speedup = float_of_int base /. float_of_int m.Run.cycles;
+            rs_speedup = ratio s m;
             rs_faults = st.Stats.faults_injected;
             rs_retries = st.Stats.net_retries;
             rs_ecc =
@@ -389,11 +382,8 @@ type ablation_row = { ab_label : string; ab_values : (string * float) list }
 let ablation_modes ?(scale = 1.0) () =
   List.map
     (fun name ->
-      let b = Suite.by_name name in
-      let p = b.Suite.build ~scale () in
-      let profile = Profile.collect p in
-      let base = float_of_int (Run.baseline_cycles ~profile p) in
-      let sp choice = base /. float_of_int (cycles_of ~profile p choice 4).Run.cycles in
+      let s = of_bench ~scale (Suite.by_name name) in
+      let sp choice = speedup s choice 4 in
       let singles = [ sp `Ilp; sp `Tlp; sp `Llp ] in
       {
         ab_label = name;
@@ -407,28 +397,19 @@ let ablation_modes ?(scale = 1.0) () =
     [ "164.gzip"; "171.swim"; "177.mesa"; "179.art"; "cjpeg"; "gsmdecode" ]
 
 let ablation_capacity ?(scale = 1.0) () =
-  let b = Suite.by_name "epic" in
-  let p = b.Suite.build ~scale () in
-  let profile = Profile.collect p in
-  let base = float_of_int (Run.baseline_cycles ~profile p) in
+  let s = of_bench ~scale (Suite.by_name "epic") in
   List.map
     (fun capacity ->
-      let m =
-        Run.run ~choice:`Tlp ~profile
-          ~tweak:(fun c -> { c with Voltron_machine.Config.net_capacity = capacity })
-          ~n_cores:4 p
-      in
-      if not m.Run.verified then failwith "capacity ablation diverged";
+      let tweak c = { c with Voltron_machine.Config.net_capacity = capacity } in
       {
         ab_label = Printf.sprintf "capacity %d" capacity;
-        ab_values = [ ("TLP speedup", base /. float_of_int m.Run.cycles) ];
+        ab_values = [ ("TLP speedup", ratio s (measure ~tweak s `Tlp 4)) ];
       })
     [ 1; 2; 4; 32 ]
 
 let ablation_memlat ?(scale = 1.0) () =
-  let b = Suite.by_name "179.art" in
-  let p = b.Suite.build ~scale () in
-  let profile = Profile.collect p in
+  let p = (Suite.by_name "179.art").Suite.build ~scale () in
+  let oracle = Driver.interpret p in
   List.map
     (fun lat ->
       let tweak c =
@@ -439,12 +420,10 @@ let ablation_memlat ?(scale = 1.0) () =
         }
       in
       let base =
-        (Run.run ~choice:`Seq ~profile ~tweak ~n_cores:1 p).Run.cycles |> float_of_int
+        (Run.run ~choice:`Seq ~oracle ~tweak ~n_cores:1 p).Run.cycles |> float_of_int
       in
       let sp choice =
-        let m = Run.run ~choice ~profile ~tweak ~n_cores:4 p in
-        if not m.Run.verified then failwith "memlat ablation diverged";
-        base /. float_of_int m.Run.cycles
+        base /. float_of_int (cycles_of ~oracle ~tweak p choice 4).Run.cycles
       in
       {
         ab_label = Printf.sprintf "mem latency %d" lat;
@@ -464,15 +443,17 @@ let ablation_tm ?(scale = 1.0) () =
   let clean_profile = Profile.collect (build 0) in
   List.map
     (fun conflicts ->
-      let p = build conflicts in
-      let m = Run.run ~choice:`Llp ~profile:clean_profile ~n_cores:4 p in
+      let s = subject (build conflicts) in
+      let m =
+        Run.run ~choice:`Llp ~profile:clean_profile ~oracle:s.oracle ~n_cores:4
+          s.prog
+      in
       if not m.Run.verified then failwith "tm ablation diverged";
-      let base = float_of_int (Run.baseline_cycles p) in
       {
         ab_label = Printf.sprintf "%d colliding iterations" conflicts;
         ab_values =
           [
-            ("speedup", base /. float_of_int m.Run.cycles);
+            ("speedup", ratio s m);
             ("tm rounds", float_of_int m.Run.stats.Stats.tm_rounds);
             ("conflicts", float_of_int m.Run.stats.Stats.tm_conflicts);
           ];
@@ -482,11 +463,8 @@ let ablation_tm ?(scale = 1.0) () =
 let ablation_scaling ?(scale = 1.0) () =
   List.map
     (fun name ->
-      let b = Suite.by_name name in
-      let p = b.Suite.build ~scale () in
-      let profile = Profile.collect p in
-      let base = float_of_int (Run.baseline_cycles ~profile p) in
-      let sp cores = base /. float_of_int (cycles_of ~profile p `Hybrid cores).Run.cycles in
+      let s = of_bench ~scale (Suite.by_name name) in
+      let sp cores = speedup s `Hybrid cores in
       {
         ab_label = name;
         ab_values = [ ("2 cores", sp 2); ("4 cores", sp 4); ("8 cores", sp 8) ];
@@ -496,14 +474,13 @@ let ablation_scaling ?(scale = 1.0) () =
 let ablation_energy ?(scale = 1.0) () =
   List.map
     (fun name ->
-      let b = Suite.by_name name in
-      let p = b.Suite.build ~scale () in
-      let profile = Profile.collect p in
-      let serial = Run.run ~choice:`Seq ~profile ~n_cores:1 p in
+      let p = (Suite.by_name name).Suite.build ~scale () in
+      let oracle = Driver.interpret p in
+      let serial = Run.run ~choice:`Seq ~oracle ~n_cores:1 p in
       let base_cycles = float_of_int serial.Run.cycles in
       let base_energy = serial.Run.energy.Voltron_machine.Energy.e_total in
       let base_edp = serial.Run.energy.Voltron_machine.Energy.edp in
-      let m = cycles_of ~profile p `Hybrid 4 in
+      let m = cycles_of ~oracle p `Hybrid 4 in
       {
         ab_label = name;
         ab_values =
@@ -518,22 +495,14 @@ let ablation_energy ?(scale = 1.0) () =
 let ablation_issue_width ?(scale = 1.0) () =
   List.map
     (fun name ->
-      let b = Suite.by_name name in
-      let p = b.Suite.build ~scale () in
-      let profile = Profile.collect p in
-      let base = float_of_int (Run.baseline_cycles ~profile p) in
+      let s = of_bench ~scale (Suite.by_name name) in
       let wide width =
         (* One monolithic [width]-issue core running the serial code: the
            paper's "more powerful core" alternative (1). *)
-        let m =
-          Run.run ~choice:`Seq ~profile
-            ~tweak:(fun c -> { c with Voltron_machine.Config.issue_width = width })
-            ~n_cores:1 p
-        in
-        if not m.Run.verified then failwith "issue-width ablation diverged";
-        base /. float_of_int m.Run.cycles
+        let tweak c = { c with Voltron_machine.Config.issue_width = width } in
+        ratio s (measure ~tweak s `Seq 1)
       in
-      let voltron = base /. float_of_int (cycles_of ~profile p `Hybrid 4).Run.cycles in
+      let voltron = speedup s `Hybrid 4 in
       {
         ab_label = name;
         ab_values =
@@ -595,19 +564,18 @@ let ablation_ifconv ?(scale = 1.0) () =
         B.store b (List.hd arrays) (B.imm 0) (Hir.Reg chk));
     Voltron_ir.Builder.finish b
   in
-  let measure p =
-    let base = Run.baseline_cycles p in
-    let m = cycles_of p `Tlp 4 in
+  let tlp p =
+    let s = subject p in
+    let m = measure s `Tlp 4 in
     let pred =
       Stat.mean
         (List.init 4 (fun c ->
              float_of_int (Stats.core m.Run.stats c).Stats.recv_pred_stall))
     in
-    (float_of_int base /. float_of_int m.Run.cycles, pred)
+    (ratio s m, pred)
   in
-  let sp_branchy, pred_branchy = measure (build ()) in
-  let converted = Voltron_compiler.Opt.program (build ()) in
-  let sp_conv, pred_conv = measure converted in
+  let sp_branchy, pred_branchy = tlp (build ()) in
+  let sp_conv, pred_conv = tlp (Voltron_compiler.Opt.program (build ())) in
   [
     {
       ab_label = "with branch";

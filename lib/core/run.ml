@@ -18,11 +18,11 @@ type measurement = {
 
 let completed m = m.outcome = Machine.Finished
 
-let run ?(choice = `Hybrid) ?(check = true) ?profile ?(tweak = fun c -> c)
-    ?(prepare = fun _ _ -> ()) ?sanitize ?(sanitize_log = fun _ -> ())
-    ~n_cores program =
+let run ?(choice = `Hybrid) ?(check = true) ?profile ?oracle
+    ?(tweak = fun c -> c) ?(prepare = fun _ _ -> ()) ?sanitize
+    ?(sanitize_log = fun _ -> ()) ~n_cores program =
   let machine = tweak (Config.default ~n_cores) in
-  let compiled = Driver.compile ~machine ~choice ~check ?profile program in
+  let compiled = Driver.compile ~machine ~choice ~check ?profile ?oracle program in
   let m = Machine.create machine compiled.Driver.executable in
   (* [prepare]'s subscribers go first, so the sanitizer's per-cycle check
      sees whatever a test hook did that cycle. *)
@@ -82,6 +82,8 @@ let strategy_of_level ~choice ~n_cores = function
 let run_resilient ?(choice = `Hybrid) ?(check = true) ?profile
     ?(tweak = fun c -> c) ?(prepare = fun _ _ -> ()) ?sanitize ~n_cores
     program =
+  (* The program, not the rung, fixes the oracle. *)
+  let oracle = Driver.interpret program in
   let rec go level acc =
     let choice', n_cores' = strategy_of_level ~choice ~n_cores level in
     let tweak' c =
@@ -102,8 +104,8 @@ let run_resilient ?(choice = `Hybrid) ?(check = true) ?profile
       | _ -> sanitize
     in
     let m =
-      run ~choice:choice' ~check ?profile ~tweak:tweak' ~prepare ?sanitize:sanitize'
-        ~n_cores:n_cores' program
+      run ~choice:choice' ~check ?profile ~oracle ~tweak:tweak' ~prepare
+        ?sanitize:sanitize' ~n_cores:n_cores' program
     in
     let attempt =
       { a_level = level; a_choice = choice'; a_n_cores = n_cores'; a_measurement = m }
@@ -357,16 +359,17 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
     diff_divergences = List.rev divs_rev;
   }
 
-let baseline_cycles ?profile program =
-  let m = run ~choice:`Seq ?profile ~n_cores:1 program in
+let baseline_cycles ?oracle program =
+  let m = run ~choice:`Seq ?oracle ~n_cores:1 program in
   (match m.outcome with
   | Machine.Finished -> ()
   | o -> failwith ("baseline run " ^ Machine.outcome_to_string o));
   m.cycles
 
 let speedup ?(choice = `Hybrid) ~n_cores program =
-  let base = baseline_cycles program in
-  let m = run ~choice ~n_cores program in
+  let oracle = Driver.interpret program in
+  let base = baseline_cycles ~oracle program in
+  let m = run ~choice ~oracle ~n_cores program in
   (match m.outcome with
   | Machine.Finished -> ()
   | o -> failwith ("speedup run " ^ Machine.outcome_to_string o));

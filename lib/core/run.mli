@@ -22,6 +22,7 @@ val run :
   ?choice:Voltron_compiler.Select.choice ->
   ?check:bool ->
   ?profile:Voltron_analysis.Profile.t ->
+  ?oracle:Voltron_compiler.Driver.oracle ->
   ?tweak:(Voltron_machine.Config.t -> Voltron_machine.Config.t) ->
   ?prepare:(Voltron_compiler.Driver.compiled -> Voltron_machine.Machine.t -> unit) ->
   ?sanitize:Voltron_sanity.Sanity.policy ->
@@ -43,6 +44,10 @@ val run :
     [sanitize_log] sees each recorded violation as it happens. A simulator
     deadlock, cycle-cap overrun, fault-limit or sanitizer stop is returned
     as the measurement's [outcome] (with [verified = false]), not raised.
+
+    [oracle] is an earlier {!Voltron_compiler.Driver.interpret} of the
+    same program, shared by every run of it; [profile] only overrides
+    strategy selection ({!Voltron_compiler.Driver.compile}).
 
     The static cross-core checker gates compilation by default: checker
     errors raise {!Voltron_check.Check.Failed}. Pass [~check:false] to
@@ -84,7 +89,7 @@ val run_resilient :
     bottom rung demotes the policy to [Report] so the last resort cannot
     be stopped — violations there are counted and surfaced instead.
     [prepare] is forwarded to every rung's {!run} (test harnesses arm
-    per-rung tampering there). *)
+    per-rung tampering there). One interpretation serves every rung. *)
 
 (** {1 Differential testing}
 
@@ -202,7 +207,8 @@ val differential :
     divergences are accumulated by cell index, so the result is
     bit-identical for every [jobs] value. *)
 
-val baseline_cycles : ?profile:Voltron_analysis.Profile.t -> Voltron_ir.Hir.program -> int
+val baseline_cycles :
+  ?oracle:Voltron_compiler.Driver.oracle -> Voltron_ir.Hir.program -> int
 (** Single-core sequential cycles (the paper's 1.0 reference). *)
 
 val speedup :
@@ -210,4 +216,5 @@ val speedup :
   n_cores:int ->
   Voltron_ir.Hir.program ->
   float
-(** [baseline / parallel] cycles; also asserts verification. *)
+(** [baseline / parallel] cycles, both runs sharing one oracle; also
+    asserts verification. *)

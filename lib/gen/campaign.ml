@@ -157,8 +157,14 @@ let run ?strategies ?cores ?coherence ?sanitize ?(size = 24)
 let sanitize_class cls =
   String.map (fun c -> if c = ' ' || c = ':' || c = '/' then '-' else c) cls
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 let write_reproducer ~dir f =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  mkdir_p dir;
   let path =
     Filename.concat dir
       (Printf.sprintf "fuzz_s%d_i%d_%s.vc" f.f_campaign_seed f.f_index

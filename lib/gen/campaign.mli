@@ -96,8 +96,11 @@ val run :
     order — the transcript is byte-identical for every [jobs] value.
     [jobs] (default 1) fans the cells out on the work-stealing pool. *)
 
+val mkdir_p : string -> unit
+(** [mkdir -p]: create a directory and its missing parents. *)
+
 val write_reproducer : dir:string -> finding -> string
 (** Write the minimized program as
     [dir/fuzz_s<campaign seed>_i<index>_<class>.vc] with a triage header
     (campaign seed, cell index, generator seed, class, diverging case,
-    regeneration command); returns the path. Creates [dir] if missing. *)
+    regeneration command); returns the path. Creates [dir] ({!mkdir_p}). *)

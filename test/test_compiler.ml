@@ -669,11 +669,11 @@ let test_compile_matches_stages () =
         [ 2; 4; 8 ])
     Suite.all
 
-(* [~static_profile] and a caller's [?profile] change selection only:
-   eBUG still reads the compiled program's own dynamic profile. The
-   foreign profile is the same benchmark's at another scale — same sids,
-   other counts — as the resilience sweep passes a fault-free program's
-   profile to its faulted variants. *)
+(* A caller's [?profile] changes selection only, whether it is the static
+   profile ([--no-profile]) or a foreign one: eBUG still reads the compiled
+   program's own dynamic profile. The foreign profile is the same
+   benchmark's at another scale — same sids, other counts — as the TM
+   ablation passes a conflict-free twin's profile. *)
 let test_compile_profile_paths () =
   let builds =
     List.map (fun (b : Suite.benchmark) -> (b.Suite.bench_name, b.Suite.build)) Suite.all
@@ -695,7 +695,7 @@ let test_compile_profile_paths () =
             (fun (cname, choice) ->
               let what = Printf.sprintf "%s/%s/%d" name cname n_cores in
               check_same (what ^ " static")
-                (Driver.compile ~machine ~choice ~check:false ~static_profile:true p)
+                (Driver.compile ~machine ~choice ~check:false ~profile:static p)
                   .Driver.executable
                 (staged_executable ~machine ~profile:static choice p);
               check_same (what ^ " foreign")

@@ -242,21 +242,22 @@ let test_shrink_preserves_keep () =
 
 (* --- Reproducer files ------------------------------------------------------------ *)
 
+let synthetic_finding =
+  {
+    Campaign.f_campaign_seed = 99;
+    f_index = 3;
+    f_seed = 4242;
+    f_class = "checksum";
+    f_case = Some { Run.d_strategy = `Hybrid; d_cores = 4; d_coherence = Coherence.Directory };
+    f_detail = "synthetic finding for reproducer round-trip";
+    f_original = seed_ast;
+    f_minimized = seed_ast;
+  }
+
 let test_write_reproducer_reparses () =
   let dir = Filename.temp_file "voltron_corpus" "" in
   Sys.remove dir;
-  let finding =
-    {
-      Campaign.f_campaign_seed = 99;
-      f_index = 3;
-      f_seed = 4242;
-      f_class = "checksum";
-      f_case = Some { Run.d_strategy = `Hybrid; d_cores = 4; d_coherence = Coherence.Directory };
-      f_detail = "synthetic finding for reproducer round-trip";
-      f_original = seed_ast;
-      f_minimized = seed_ast;
-    }
-  in
+  let finding = synthetic_finding in
   let path = Campaign.write_reproducer ~dir finding in
   Alcotest.(check bool) "file exists" true (Sys.file_exists path);
   Alcotest.(check bool) "named by campaign seed, index and class" true
@@ -266,6 +267,20 @@ let test_write_reproducer_reparses () =
   | _ -> Sys.remove path; Unix.rmdir dir
   | exception e ->
     Alcotest.failf "reproducer does not re-parse: %s" (Printexc.to_string e)
+
+(* [--corpus A/B] with no [A] yet: every missing parent is created. *)
+let test_write_reproducer_nested_dir () =
+  let root = Filename.temp_file "voltron_corpus" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let path = Campaign.write_reproducer ~dir synthetic_finding in
+  Alcotest.(check string) "written inside the nested directory" dir
+    (Filename.dirname path);
+  Alcotest.(check bool) "file exists" true (Sys.file_exists path);
+  Sys.remove path;
+  Unix.rmdir dir;
+  Unix.rmdir (Filename.dirname dir);
+  Unix.rmdir root
 
 let () =
   Alcotest.run "fuzz"
@@ -306,5 +321,7 @@ let () =
         [
           Alcotest.test_case "write and re-parse" `Quick
             test_write_reproducer_reparses;
+          Alcotest.test_case "nested missing directory" `Quick
+            test_write_reproducer_nested_dir;
         ] );
     ]

@@ -51,6 +51,51 @@ let test_strategy_matrix () =
         [ `Seq; `Ilp; `Tlp; `Llp ])
     matrix_benches
 
+(* A shared oracle is invisible: one [Driver.interpret] passed to every run
+   of a program measures exactly what runs that each interpret the program
+   themselves measure. *)
+let test_shared_oracle () =
+  let module Run = Voltron.Run in
+  let module Select = Voltron_compiler.Select in
+  let module Machine = Voltron_machine.Machine in
+  let strategies (m : Run.measurement) =
+    List.map
+      (fun (pr : Select.planned_region) -> Select.strategy_name pr.Select.pr_strategy)
+      m.Run.plan
+  in
+  List.iter
+    (fun (name, p) ->
+      let oracle = Driver.interpret p in
+      Alcotest.(check int) (name ^ " baseline") (Run.baseline_cycles p)
+        (Run.baseline_cycles ~oracle p);
+      List.iter
+        (fun n_cores ->
+          List.iter
+            (fun choice ->
+              let what =
+                Printf.sprintf "%s/%s/%d" name (Select.choice_name choice) n_cores
+              in
+              let own = Run.run ~choice ~n_cores p in
+              let shared = Run.run ~choice ~oracle ~n_cores p in
+              Alcotest.(check int) (what ^ " cycles") own.Run.cycles shared.Run.cycles;
+              Alcotest.(check string) (what ^ " outcome")
+                (Machine.outcome_to_string own.Run.outcome)
+                (Machine.outcome_to_string shared.Run.outcome);
+              Alcotest.(check bool) (what ^ " verified") own.Run.verified
+                shared.Run.verified;
+              Alcotest.(check bool) (what ^ " stats") true
+                (own.Run.stats = shared.Run.stats);
+              Alcotest.(check (list string)) (what ^ " plan") (strategies own)
+                (strategies shared))
+            Run.default_strategies)
+        [ 2; 4 ])
+    [
+      ("cjpeg", (Suite.by_name "cjpeg").Suite.build ~scale:0.2 ());
+      ("micro:gsm_llp", Suite.micro_gsm_llp ~scale:0.2 ());
+      ("micro:gzip_strands", Suite.micro_gzip_strands ~scale:0.2 ());
+      ("micro:gsm_ilp", Suite.micro_gsm_ilp ~scale:0.2 ());
+    ]
+
 (* The micro-examples hold their paper-reported direction. *)
 let test_micro_directions () =
   let sp p choice =
@@ -248,6 +293,7 @@ let () =
           Alcotest.test_case "all benchmarks hybrid" `Slow test_all_benchmarks_hybrid;
           Alcotest.test_case "strategy matrix" `Slow test_strategy_matrix;
           Alcotest.test_case "micro directions" `Quick test_micro_directions;
+          Alcotest.test_case "shared oracle" `Quick test_shared_oracle;
         ] );
       ( "behaviour",
         [
